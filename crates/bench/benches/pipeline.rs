@@ -1,4 +1,4 @@
-//! Benchmarks for the paper's pipeline stages: MOD construction, MSA
+//! Benchmarks for the paper's pipeline stages: MOD pricing and decoding, MSA
 //! stage 1, OPA stage 2, the baselines, and ILP model building.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,8 +22,15 @@ fn medium_scenario() -> Scenario {
 
 fn bench_mod_network(c: &mut Criterion) {
     let s = medium_scenario();
-    c.bench_function("pipeline/expanded_mod_build_100n_k5", |b| {
-        b.iter(|| black_box(ExpandedMod::build(&s.network, s.task.source(), s.task.sfc()).unwrap()))
+    c.bench_function("pipeline/expanded_mod_build_decode_100n_k5", |b| {
+        b.iter(|| {
+            let e = ExpandedMod::build(&s.network, s.task.source(), s.task.sfc()).unwrap();
+            black_box(
+                (0..e.servers().len())
+                    .filter_map(|row| e.placement_for(row))
+                    .count(),
+            )
+        })
     });
 }
 

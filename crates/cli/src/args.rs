@@ -52,7 +52,9 @@ SOLVE / EXACT FLAGS:
   --strategy <msa|sca|rsa>   stage-1 algorithm (default msa)
   --threads <n>         worker threads for the stage-1 sweep; 0 = all
                         cores (default). Results are identical for every
-                        value — only the runtime changes.
+                        value — only the runtime changes. Also read by
+                        batch and stdin serve; serve --listen solves each
+                        request on one worker and ignores it.
   --no-opa              skip stage 2
   --delay-budget <ms>   end-to-end delay budget per destination; the
                         solve repairs routes to meet it or fails with
@@ -97,9 +99,11 @@ SOCKET FLAGS (sft serve --listen / sft client):
                         field: quote = dry-run against the frozen
                         network (socket default), commit = update the
                         network (stdin serve default)
-  --commit-retries <n>  (serve) solve attempts per commit before the
-                        transactional apply gives up with `conflict`
-                        (default 3; commits never partially apply)
+  --commit-retries <n>  (serve) optimistic solve attempts per commit
+                        (default 3); if all lose their race, a last
+                        attempt solves and applies under the write lock,
+                        so commits never answer `conflict` and never
+                        partially apply
   --defrag-every-ms <ms>
                         (serve) run the re-embed/defrag batch on this
                         period: live sessions are released and re-solved

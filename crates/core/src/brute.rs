@@ -3,7 +3,7 @@
 //!
 //! * [`optimal_chain`] — the cost-optimal *single chain* placement
 //!   (exhaustive over `servers^k`), the oracle for Theorem 2 (the expanded
-//!   MOD Dijkstra must match it when capacities suffice).
+//!   MOD shortest paths must match it when capacities suffice).
 //! * [`optimal_chain_tree`] — the cost-optimal "chain + exact Steiner
 //!   tree" solution, an upper-bound oracle for stage-1 outputs.
 
@@ -211,13 +211,12 @@ mod tests {
         let task = a_task();
         let (brute_placement, brute_cost) = optimal_chain(&net, &task).unwrap();
         let emod = ExpandedMod::build(&net, task.source(), task.sfc()).unwrap();
-        let sp = emod.shortest_paths();
-        let dijkstra_best = (0..emod.servers().len())
-            .filter_map(|row| emod.placement_for(&sp, row).map(|(_, c)| c))
+        let mod_best = (0..emod.servers().len())
+            .filter_map(|row| emod.placement_for(row).map(|(_, c)| c))
             .fold(f64::INFINITY, f64::min);
         assert!(
-            (dijkstra_best - brute_cost).abs() < 1e-9,
-            "dijkstra {dijkstra_best} vs brute {brute_cost} (placement {brute_placement:?})"
+            (mod_best - brute_cost).abs() < 1e-9,
+            "MOD {mod_best} vs brute {brute_cost} (placement {brute_placement:?})"
         );
     }
 

@@ -94,25 +94,49 @@ pub(crate) fn new_instance_usage(
     usage
 }
 
+/// The server list and each server's deployed load, read once per solve
+/// and shared read-only by every capacity repair of that solve — every
+/// candidate row and every sweep thread.
+pub(crate) struct LoadSnapshot {
+    /// Server nodes in index order.
+    servers: Vec<NodeId>,
+    /// `load[i]`: [`Network::deployed_load`] of `servers[i]`.
+    load: Vec<f64>,
+}
+
+impl LoadSnapshot {
+    pub(crate) fn new(network: &Network) -> Self {
+        let servers: Vec<NodeId> = network.servers().collect();
+        let load = servers.iter().map(|&v| network.deployed_load(v)).collect();
+        LoadSnapshot { servers, load }
+    }
+
+    /// Deployed load on `v`; switches host no instances.
+    fn load(&self, v: NodeId) -> f64 {
+        self.servers.binary_search(&v).map_or(0.0, |i| self.load[i])
+    }
+}
+
 /// The paper's stage-1 "node adjustment": while some chain stage sits on an
 /// overloaded node, move it to the feasible server minimizing
 /// `dist(prev, v) + dist(v, next) + setup(l_j, v)` (§IV-B).
 ///
 /// Only *new* instances can overload a node (pre-deployed load is validated
-/// at network build time), so only they are ever moved.
+/// at network build time), so only they are ever moved. `loads` must be a
+/// snapshot of `network`.
 ///
 /// # Errors
 ///
 /// [`CoreError::Infeasible`] if some stage has no feasible host at all.
 pub(crate) fn repair_capacity(
     network: &Network,
+    loads: &LoadSnapshot,
     source: NodeId,
     sfc: &Sfc,
     placement: &mut [NodeId],
 ) -> Result<(), CoreError> {
     let k = placement.len();
     let dist = network.dist();
-    let servers: Vec<NodeId> = network.servers().collect();
     // Each move strictly shrinks the load of an overloaded node and never
     // overloads the target, but repeated types can interact; cap the loop
     // defensively.
@@ -120,7 +144,7 @@ pub(crate) fn repair_capacity(
         let usage = new_instance_usage(network, sfc, placement);
         let overloaded = |n: NodeId| {
             exceeds(
-                network.deployed_load(n) + usage.get(&n).copied().unwrap_or(0.0),
+                loads.load(n) + usage.get(&n).copied().unwrap_or(0.0),
                 network.capacity(n),
             )
         };
@@ -138,7 +162,7 @@ pub(crate) fn repair_capacity(
         let current = placement[j - 1];
 
         let mut best: Option<(f64, NodeId)> = None;
-        for &v in &servers {
+        for (&v, &deployed) in loads.servers.iter().zip(&loads.load) {
             if v == current {
                 continue;
             }
@@ -149,7 +173,7 @@ pub(crate) fn repair_capacity(
                     .enumerate()
                     .any(|(i, &n)| i != j - 1 && n == v && sfc.stage(i + 1) == f);
             let extra = if already_counted { 0.0 } else { demand };
-            let load = network.deployed_load(v) + usage.get(&v).copied().unwrap_or(0.0) + extra;
+            let load = deployed + usage.get(&v).copied().unwrap_or(0.0) + extra;
             if exceeds(load, network.capacity(v)) {
                 continue;
             }
@@ -178,7 +202,7 @@ pub(crate) fn repair_capacity(
     // Converged or not, verify the result.
     let usage = new_instance_usage(network, sfc, placement);
     for (n, extra) in usage {
-        if exceeds(network.deployed_load(n) + extra, network.capacity(n)) {
+        if exceeds(loads.load(n) + extra, network.capacity(n)) {
             return Err(CoreError::Infeasible {
                 reason: format!("capacity repair failed to unload node {n}"),
             });
@@ -206,6 +230,11 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    /// Capacity repair of a chain sourced at node 0.
+    fn repair(net: &Network, sfc: &Sfc, placement: &mut [NodeId]) -> Result<(), CoreError> {
+        repair_capacity(net, &LoadSnapshot::new(net), NodeId(0), sfc, placement)
     }
 
     fn task2(net_nodes: &[usize]) -> MulticastTask {
@@ -256,20 +285,11 @@ mod tests {
     fn repair_moves_overloaded_stage() {
         // Capacity 1 per node: both stages on node 1 overload it.
         let net = line_net(1.0);
+        let sfc = Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap();
         let mut placement = vec![NodeId(1), NodeId(1)];
-        repair_capacity(
-            &net,
-            NodeId(0),
-            &Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
-            &mut placement,
-        )
-        .unwrap();
+        repair(&net, &sfc, &mut placement).unwrap();
         assert_ne!(placement[0], placement[1], "load must be split");
-        let usage = new_instance_usage(
-            &net,
-            &Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
-            &placement,
-        );
+        let usage = new_instance_usage(&net, &sfc, &placement);
         for (n, u) in usage {
             assert!(net.deployed_load(n) + u <= net.capacity(n) + 1e-9);
         }
@@ -280,13 +300,8 @@ mod tests {
         let net = line_net(2.0);
         let mut placement = vec![NodeId(1), NodeId(1)];
         let before = placement.clone();
-        repair_capacity(
-            &net,
-            NodeId(0),
-            &Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
-            &mut placement,
-        )
-        .unwrap();
+        let sfc = Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap();
+        repair(&net, &sfc, &mut placement).unwrap();
         assert_eq!(placement, before);
     }
 
@@ -298,7 +313,7 @@ mod tests {
         let net = line_net(1.0);
         let sfc = Sfc::new(vec![VnfId(0), VnfId(1), VnfId(2)]).unwrap();
         let mut placement = vec![NodeId(2), NodeId(2), NodeId(2)];
-        repair_capacity(&net, NodeId(0), &sfc, &mut placement).unwrap();
+        repair(&net, &sfc, &mut placement).unwrap();
         let distinct: BTreeSet<_> = placement.iter().collect();
         assert_eq!(distinct.len(), 3, "three unit demands need three nodes");
     }
@@ -310,7 +325,7 @@ mod tests {
         let sfc = Sfc::new(vec![VnfId(0)]).unwrap();
         let mut placement = vec![NodeId(1)];
         assert!(matches!(
-            repair_capacity(&net, NodeId(0), &sfc, &mut placement),
+            repair(&net, &sfc, &mut placement),
             Err(CoreError::Infeasible { .. })
         ));
     }
@@ -331,7 +346,7 @@ mod tests {
             .unwrap();
         let sfc = Sfc::new(vec![VnfId(0)]).unwrap();
         let mut placement = vec![NodeId(1)];
-        repair_capacity(&net, NodeId(0), &sfc, &mut placement).unwrap();
+        repair(&net, &sfc, &mut placement).unwrap();
         assert_eq!(placement, vec![NodeId(1)]);
     }
 

@@ -12,11 +12,17 @@
 //! weights. Theorem 2: Dijkstra from the source over the expanded MOD
 //! network yields the cost-optimal single-chain embedding ending at any
 //! chosen last-column node, assuming sufficient capacities.
+//!
+//! The expanded network is a layered DAG, so [`ExpandedMod`] never builds
+//! it: one column-by-column relaxation over the server-to-server
+//! distances yields the same shortest paths, with Dijkstra's tie-breaking
+//! reproduced exactly (the layered-graph view of SFC-constrained shortest
+//! paths).
 
 use crate::network::Network;
 use crate::vnf::Sfc;
 use crate::CoreError;
-use sft_graph::{DiGraph, NodeId, ShortestPaths};
+use sft_graph::NodeId;
 
 /// The plain (node-weighted) MOD network of paper Fig. 3 — mostly useful
 /// for inspection and tests; the algorithms use [`ExpandedMod`].
@@ -85,28 +91,54 @@ impl ModNetwork {
     }
 }
 
-/// The expanded MOD network (paper Fig. 4): a layered DAG rooted at the
-/// multicast source, ready for Dijkstra.
+/// The expanded MOD network (paper Fig. 4), solved: the cheapest chain
+/// prefix ending at every overlay node, read off by [`placement_for`].
+///
+/// The expanded network is a layered DAG (source → column 0 → … →
+/// column `k-1`), so its single-source shortest paths need no graph and
+/// no heap: one relaxation per column over the server-to-server
+/// distances gives exactly what Dijkstra would (see [`ExpandedMod::build`]
+/// for the tie rule that keeps the two identical).
+///
+/// [`placement_for`]: ExpandedMod::placement_for
 #[derive(Clone, Debug)]
 pub struct ExpandedMod {
-    digraph: DiGraph,
     servers: Vec<NodeId>,
     k: usize,
+    /// `cost[row]`: cheapest chain whose last stage sits on
+    /// `servers[row]` (the last column's out-half), `INFINITY` when none.
+    cost: Vec<f64>,
+    /// `pred[(j - 1) * |S| + row]`, for `j ≥ 1`: the row hosting stage
+    /// `j` on the cheapest chain whose stage `j + 1` sits on `row`.
+    pred: Vec<usize>,
 }
 
 impl ExpandedMod {
-    /// Builds the expanded MOD network for a task source and chain.
+    /// Prices every chain prefix from the task source: the shortest paths
+    /// of Theorem 2's Dijkstra over the expanded MOD network.
     ///
-    /// Arcs:
+    /// The expanded network's arcs are:
     /// * source → `in(0, s)` weighted by the physical shortest-path cost
     ///   from the source to server `s`;
     /// * `in(j, s)` → `out(j, s)` weighted by the effective setup cost of
     ///   stage `j+1` on `s`;
     /// * `out(j, s)` → `in(j+1, s')` weighted by the physical shortest-path
     ///   cost `s → s'` (zero when `s = s'`, i.e. consecutive VNFs
-    ///   co-located).
+    ///   co-located); unreachable pairs have no arc.
     ///
-    /// Unreachable pairs produce no arc.
+    /// Every arc points into the next layer, so the shortest paths come
+    /// from relaxing column `j` into column `j+1` in row order. Overlay
+    /// ids grow along every arc, which makes Dijkstra settle nodes in
+    /// (distance, id) order; its predecessor for `in(j+1, b)` is therefore
+    /// the first out-half of column `j` it pops among those reaching the
+    /// minimum `cost_out(j, a) + d(a, b)`: the smallest `cost_out(j, a)`,
+    /// then the lowest row. The relaxation applies that rule with the same
+    /// f64 additions, so placements and costs are bit-identical to the
+    /// heap search over the materialized overlay.
+    ///
+    /// The `|S|×|S|` server distance block is read once; a one-stage
+    /// chain never reads it, so a lazy provider materializes only the
+    /// source's row.
     ///
     /// # Errors
     ///
@@ -115,41 +147,59 @@ impl ExpandedMod {
     /// * [`CoreError::Infeasible`] if the network has no servers.
     pub fn build(network: &Network, source: NodeId, sfc: &Sfc) -> Result<Self, CoreError> {
         network.check_node(source)?;
-        let m = ModNetwork::build(network, sfc)?;
-        let servers = m.servers().to_vec();
+        let ModNetwork {
+            servers,
+            k,
+            weights,
+        } = ModNetwork::build(network, sfc)?;
         let ns = servers.len();
-        let k = m.columns();
-
-        // Overlay ids: 0 = source; then (j, row) -> in/out pair.
-        let mut g = DiGraph::new(1 + 2 * ns * k);
-        let node_in = |j: usize, row: usize| NodeId(1 + 2 * (j * ns + row));
-        let node_out = |j: usize, row: usize| NodeId(1 + 2 * (j * ns + row) + 1);
-
         let dist = network.dist();
-        for (row, &s) in servers.iter().enumerate() {
-            if let Some(d) = dist.distance(source, s) {
-                g.add_arc(NodeId(0), node_in(0, row), d)?;
+        let arc = |a: NodeId, b: NodeId| dist.distance(a, b).unwrap_or(f64::INFINITY);
+
+        // Column 0's in-halves: the source's settled 0.0 plus its arc.
+        let mut cost: Vec<f64> = servers.iter().map(|&s| 0.0 + arc(source, s)).collect();
+        let block: Vec<f64> = if k > 1 {
+            servers
+                .iter()
+                .flat_map(|&a| servers.iter().map(move |&b| arc(a, b)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut pred = vec![usize::MAX; (k - 1) * ns];
+        let mut next = vec![f64::INFINITY; ns];
+        for (j, column) in weights.iter().enumerate() {
+            // in(j, ·) → out(j, ·): the setup arc.
+            for (c, &w) in cost.iter_mut().zip(column) {
+                *c += w;
             }
-        }
-        for j in 0..k {
-            for row in 0..ns {
-                g.add_arc(node_in(j, row), node_out(j, row), m.node_weight(j, row))?;
+            if j + 1 == k {
+                break;
             }
-        }
-        for j in 0..k.saturating_sub(1) {
-            for (row_a, &a) in servers.iter().enumerate() {
-                for (row_b, &b) in servers.iter().enumerate() {
-                    if let Some(d) = dist.distance(a, b) {
-                        g.add_arc(node_out(j, row_a), node_in(j + 1, row_b), d)?;
+            let pred_j = &mut pred[j * ns..(j + 1) * ns];
+            next.fill(f64::INFINITY);
+            for (a, &base) in cost.iter().enumerate() {
+                if base == f64::INFINITY {
+                    continue; // never settled, so it relaxes nothing
+                }
+                for (b, &d) in block[a * ns..(a + 1) * ns].iter().enumerate() {
+                    let cand = base + d;
+                    if cand < next[b]
+                        || (cand == next[b] && cand < f64::INFINITY && base < cost[pred_j[b]])
+                    {
+                        next[b] = cand;
+                        pred_j[b] = a;
                     }
                 }
             }
+            std::mem::swap(&mut cost, &mut next);
         }
 
         Ok(ExpandedMod {
-            digraph: g,
             servers,
             k,
+            cost,
+            pred,
         })
     }
 
@@ -163,48 +213,6 @@ impl ExpandedMod {
         self.k
     }
 
-    /// The underlying overlay digraph (exposed for inspection and tests).
-    pub fn digraph(&self) -> &DiGraph {
-        &self.digraph
-    }
-
-    /// Overlay id of the source node.
-    pub fn source_node(&self) -> NodeId {
-        NodeId(0)
-    }
-
-    /// Overlay id of the in-half of column `j`, row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn in_node(&self, j: usize, row: usize) -> NodeId {
-        assert!(
-            j < self.k && row < self.servers.len(),
-            "overlay index out of range"
-        );
-        NodeId(1 + 2 * (j * self.servers.len() + row))
-    }
-
-    /// Overlay id of the out-half of column `j`, row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn out_node(&self, j: usize, row: usize) -> NodeId {
-        assert!(
-            j < self.k && row < self.servers.len(),
-            "overlay index out of range"
-        );
-        NodeId(2 + 2 * (j * self.servers.len() + row))
-    }
-
-    /// Runs Dijkstra from the overlay source; the result prices every
-    /// possible chain embedding prefix.
-    pub fn shortest_paths(&self) -> ShortestPaths {
-        self.digraph.dijkstra(self.source_node())
-    }
-
     /// Decodes the optimal chain placement ending at last-column row
     /// `row`: the physical server hosting each chain stage, plus the
     /// overlay cost (setup + inter-stage link cost). Returns `None` when
@@ -213,24 +221,18 @@ impl ExpandedMod {
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn placement_for(&self, sp: &ShortestPaths, row: usize) -> Option<(Vec<NodeId>, f64)> {
-        let target = self.out_node(self.k - 1, row);
-        let cost = sp.distance(target)?;
-        let path = sp.path_to(target)?;
-        let ns = self.servers.len();
-        let mut placement = Vec::with_capacity(self.k);
-        for n in path {
-            if n.0 == 0 {
-                continue; // overlay source
-            }
-            let idx = n.0 - 1;
-            if idx % 2 == 0 {
-                // An in-node: records the server hosting its column's stage.
-                let row = (idx / 2) % ns;
-                placement.push(self.servers[row]);
-            }
+    pub fn placement_for(&self, row: usize) -> Option<(Vec<NodeId>, f64)> {
+        let cost = self.cost[row];
+        if !cost.is_finite() {
+            return None;
         }
-        debug_assert_eq!(placement.len(), self.k, "one in-node per column");
+        let ns = self.servers.len();
+        let mut placement = vec![self.servers[row]; self.k];
+        let mut r = row;
+        for j in (1..self.k).rev() {
+            r = self.pred[(j - 1) * ns + r];
+            placement[j - 1] = self.servers[r];
+        }
         Some((placement, cost))
     }
 }
@@ -310,14 +312,34 @@ mod tests {
     }
 
     #[test]
-    fn expanded_mod_sizes_and_arcs() {
-        let net = fig3_network();
-        let e = ExpandedMod::build(&net, NodeId(0), &chain4()).unwrap();
-        // 1 source + 2 * 4 columns * 4 rows.
-        assert_eq!(e.digraph().node_count(), 1 + 2 * 4 * 4);
-        // Arcs: 4 source arcs + 16 virtual + 3 * 16 inter-column.
-        assert_eq!(e.digraph().arc_count(), 4 + 16 + 3 * 16);
-        assert_eq!(e.columns(), 4);
+    fn ties_break_toward_the_cheaper_predecessor_like_dijkstra() {
+        // Source 3 reaches servers 0 and 1 at cost 1 each; stage 1 costs 3
+        // on node 0 and 1 on node 1, so their out-halves settle at 4 and 2.
+        // Both then reach node 2 at 5 (4 + 1 and 2 + 3): Dijkstra pops
+        // out(0, 1) first and keeps it, although row 0 is lower.
+        let mut g = Graph::new(4);
+        g.add_edge(NodeId(3), NodeId(0), 1.0).unwrap();
+        g.add_edge(NodeId(3), NodeId(1), 1.0).unwrap();
+        g.add_edge(NodeId(0), NodeId(2), 1.0).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 3.0).unwrap();
+        let net = Network::builder(g, VnfCatalog::uniform(2))
+            .all_servers(4.0)
+            .unwrap()
+            .uniform_setup_cost(10.0)
+            .unwrap()
+            .setup_cost(VnfId(0), NodeId(0), 3.0)
+            .unwrap()
+            .setup_cost(VnfId(0), NodeId(1), 1.0)
+            .unwrap()
+            .setup_cost(VnfId(1), NodeId(2), 1.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let sfc = Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap();
+        let e = ExpandedMod::build(&net, NodeId(3), &sfc).unwrap();
+        let (placement, cost) = e.placement_for(2).unwrap();
+        assert_eq!(placement, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(cost, 6.0);
     }
 
     #[test]
@@ -325,7 +347,6 @@ mod tests {
         let net = fig3_network();
         let sfc = chain4();
         let e = ExpandedMod::build(&net, NodeId(0), &sfc).unwrap();
-        let sp = e.shortest_paths();
 
         // Brute force over all 4^4 placements for each last node.
         let dist = net.dist();
@@ -347,7 +368,7 @@ mod tests {
                     }
                 }
             }
-            let (placement, cost) = e.placement_for(&sp, row).unwrap();
+            let (placement, cost) = e.placement_for(row).unwrap();
             assert!((cost - best).abs() < 1e-9, "row {row}: {cost} vs {best}");
             assert_eq!(placement.len(), 4);
             assert_eq!(placement[3], t);
@@ -359,8 +380,7 @@ mod tests {
         let net = fig3_network();
         let sfc = chain4();
         let e = ExpandedMod::build(&net, NodeId(1), &sfc).unwrap();
-        let sp = e.shortest_paths();
-        let (placement, cost) = e.placement_for(&sp, 2).unwrap();
+        let (placement, cost) = e.placement_for(2).unwrap();
         assert_eq!(placement.len(), 4);
         assert_eq!(placement[3], NodeId(2));
         assert!(cost.is_finite());
@@ -378,15 +398,34 @@ mod tests {
     }
 
     #[test]
-    fn single_stage_chain_has_no_intercolumn_arcs() {
+    fn single_stage_chain_places_on_one_column() {
         let net = fig3_network();
         let sfc = Sfc::new(vec![VnfId(0)]).unwrap();
         let e = ExpandedMod::build(&net, NodeId(0), &sfc).unwrap();
-        assert_eq!(e.digraph().arc_count(), 4 + 4);
-        let sp = e.shortest_paths();
+        assert_eq!(e.columns(), 1);
         // Optimal single-stage placement on A: 0 (distance) + 1 (setup).
-        let (p, c) = e.placement_for(&sp, 0).unwrap();
+        let (p, c) = e.placement_for(0).unwrap();
         assert_eq!(p, vec![NodeId(0)]);
         assert!((c - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lazy_rows_materialize_only_as_the_chain_needs() {
+        let mut g = Graph::new(6);
+        for i in 0..6 {
+            g.add_edge(NodeId(i), NodeId((i + 1) % 6), 1.0).unwrap();
+        }
+        let net = Network::builder(g, VnfCatalog::uniform(2))
+            .all_servers(2.0)
+            .unwrap()
+            .distance_mode(sft_graph::DistanceMode::Lazy)
+            .build()
+            .unwrap();
+        // One stage needs only the source's row; two need every server's.
+        ExpandedMod::build(&net, NodeId(0), &Sfc::new(vec![VnfId(0)]).unwrap()).unwrap();
+        assert_eq!(net.dist().rows_materialized(), 1);
+        let sfc = Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap();
+        ExpandedMod::build(&net, NodeId(0), &sfc).unwrap();
+        assert_eq!(net.dist().rows_materialized(), 6);
     }
 }

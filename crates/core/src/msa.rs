@@ -2,8 +2,8 @@
 //!
 //! For every candidate last-VNF server `v`, MSA:
 //!
-//! 1. reads the optimal chain embedding ending at `v` off a single Dijkstra
-//!    over the expanded MOD network (Theorem 2);
+//! 1. reads the optimal chain embedding ending at `v` off one shortest-path
+//!    pass over the expanded MOD network (Theorem 2);
 //! 2. repairs capacity violations by moving overloaded stages (§IV-B);
 //! 3. builds a Steiner tree connecting the (possibly moved) last VNF node
 //!    to all destinations;
@@ -11,13 +11,13 @@
 //! and keeps the candidate with the smallest canonical delivery cost
 //! (Theorem 3: the result is feasible).
 
-use crate::chain::{repair_capacity, ChainSolution};
+use crate::chain::{repair_capacity, ChainSolution, LoadSnapshot};
 use crate::mod_network::ExpandedMod;
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
 use sft_graph::parallel::{run_partitioned, Parallelism};
-use sft_graph::{CancelToken, NodeId, ShortestPaths, SteinerCache, SteinerTree, TreeCache};
+use sft_graph::{CancelToken, NodeId, SteinerCache, SteinerTree, TreeCache};
 use std::collections::BTreeMap;
 
 /// Which Steiner-tree construction stage 1 hangs off the last VNF node.
@@ -167,7 +167,7 @@ fn sweep<C: TreeCache>(
     }
     task.check_against(network)?;
     let emod = ExpandedMod::build(network, task.source(), task.sfc())?;
-    let sp = emod.shortest_paths();
+    let loads = LoadSnapshot::new(network);
     let rows = emod.servers().len();
 
     // Each worker sweeps a contiguous row block with its own Steiner cache
@@ -186,7 +186,7 @@ fn sweep<C: TreeCache>(
                 break;
             }
             let Some((cost, chain)) = evaluate_candidate(
-                network, task, method, &emod, &sp, &mut local, shared, cancel, row,
+                network, task, method, &emod, &loads, &mut local, shared, cancel, row,
             ) else {
                 continue;
             };
@@ -234,7 +234,7 @@ pub fn stage_one_candidates(
 ) -> Result<Vec<(f64, ChainSolution)>, CoreError> {
     task.check_against(network)?;
     let emod = ExpandedMod::build(network, task.source(), task.sfc())?;
-    let sp = emod.shortest_paths();
+    let loads = LoadSnapshot::new(network);
     let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
     let mut out = Vec::new();
     for row in 0..emod.servers().len() {
@@ -243,7 +243,7 @@ pub fn stage_one_candidates(
             task,
             method,
             &emod,
-            &sp,
+            &loads,
             &mut local,
             None::<&SteinerCache>,
             None,
@@ -290,14 +290,14 @@ fn evaluate_candidate<C: TreeCache>(
     task: &MulticastTask,
     method: SteinerMethod,
     emod: &ExpandedMod,
-    sp: &ShortestPaths,
+    loads: &LoadSnapshot,
     local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
     shared: Option<&C>,
     cancel: Option<&CancelToken>,
     row: usize,
 ) -> Option<(f64, ChainSolution)> {
-    let (mut placement, _) = emod.placement_for(sp, row)?;
-    if repair_capacity(network, task.source(), task.sfc(), &mut placement).is_err() {
+    let (mut placement, _) = emod.placement_for(row)?;
+    if repair_capacity(network, loads, task.source(), task.sfc(), &mut placement).is_err() {
         return None;
     }
     let w = *placement.last().expect("chain is non-empty");
@@ -572,7 +572,7 @@ mod tests {
             .unwrap();
         let task = a_task();
         let emod = ExpandedMod::build(&net, task.source(), task.sfc()).unwrap();
-        let sp = emod.shortest_paths();
+        let loads = LoadSnapshot::new(&net);
         let cache = SteinerCache::new();
         // Building the MOD overlay memoized every row; drop them so the
         // tree build must recompute one and trips on the token. (Row 0's
@@ -588,7 +588,7 @@ mod tests {
             &task,
             SteinerMethod::Kmb,
             &emod,
-            &sp,
+            &loads,
             &mut local,
             Some(&cache),
             Some(&token),
@@ -602,7 +602,7 @@ mod tests {
             &task,
             SteinerMethod::Kmb,
             &emod,
-            &sp,
+            &loads,
             &mut warm,
             None::<&SteinerCache>,
             None,

@@ -6,7 +6,7 @@
 //! deployed, RSA connects them in order with the shortest paths." The
 //! second stage (OPA) is shared with MSA and SCA.
 
-use crate::chain::{new_instance_usage, repair_capacity, ChainSolution};
+use crate::chain::{new_instance_usage, repair_capacity, ChainSolution, LoadSnapshot};
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
@@ -73,7 +73,8 @@ pub fn stage_one<R: Rng + ?Sized>(
         placement.push(choice);
     }
 
-    repair_capacity(network, task.source(), sfc, &mut placement)?;
+    let loads = LoadSnapshot::new(network);
+    repair_capacity(network, &loads, task.source(), sfc, &mut placement)?;
     let w = *placement.last().expect("non-empty chain");
     let mut terminals = vec![w];
     terminals.extend_from_slice(task.destinations());

@@ -6,7 +6,7 @@
 //! SCA will deploy a new instance upon the nearest node to the predecessor
 //! VNF." The second stage (OPA) is shared with MSA and RSA.
 
-use crate::chain::{new_instance_usage, repair_capacity, ChainSolution};
+use crate::chain::{new_instance_usage, repair_capacity, ChainSolution, LoadSnapshot};
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
@@ -103,7 +103,8 @@ pub fn stage_one(network: &Network, task: &MulticastTask) -> Result<ChainSolutio
 
     // The cover may have over-packed reused nodes with *new* stages; run the
     // shared repair to restore feasibility, then hang the delivery tree.
-    repair_capacity(network, task.source(), sfc, &mut placement)?;
+    let loads = LoadSnapshot::new(network);
+    repair_capacity(network, &loads, task.source(), sfc, &mut placement)?;
     let w = *placement.last().expect("non-empty chain");
     let mut terminals = vec![w];
     terminals.extend_from_slice(task.destinations());

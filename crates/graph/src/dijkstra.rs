@@ -1,10 +1,11 @@
 //! Single-source shortest paths (Dijkstra's algorithm).
 //!
-//! Both the undirected [`crate::Graph`] and the directed [`crate::DiGraph`]
-//! expose `dijkstra` methods backed by the shared core in this module. The
-//! paper uses Dijkstra twice: over the expanded MOD network to find the
-//! optimal single-chain embedding (Theorem 2), and inside the
-//! Kou–Markowsky–Berman Steiner construction.
+//! [`crate::Graph`]'s `dijkstra` methods and the distance providers share
+//! the core in this module. The paper uses Dijkstra twice: over the
+//! expanded MOD network to find the optimal single-chain embedding
+//! (Theorem 2; `sft-core` solves that layered DAG column by column with
+//! this search's tie rule), and inside the Kou–Markowsky–Berman Steiner
+//! construction.
 
 use crate::cancel::{CancelToken, Cancelled, CHECK_INTERVAL};
 use crate::{Graph, NodeId};

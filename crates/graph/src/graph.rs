@@ -6,7 +6,7 @@
 use crate::GraphError;
 use std::fmt;
 
-/// Identifier of a node in a [`Graph`] or [`crate::DiGraph`].
+/// Identifier of a node in a [`Graph`].
 ///
 /// The wrapped index is public because node identity is deliberately just a
 /// dense index into the graph's node range — generators and the domain layer

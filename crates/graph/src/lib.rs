@@ -5,8 +5,6 @@
 //!
 //! * [`Graph`] — an undirected, non-negatively weighted graph with an
 //!   adjacency-list representation ([`graph`]).
-//! * [`DiGraph`] — a directed weighted graph, used by `sft-core` for the
-//!   multilevel overlay directed (MOD) network ([`digraph`]).
 //! * Single-source shortest paths (Dijkstra, [`dijkstra`]) and all-pairs
 //!   shortest paths (Floyd–Warshall, [`apsp`]).
 //! * Minimum spanning trees (Kruskal and Prim, [`mst`]) on top of a
@@ -52,7 +50,6 @@
 pub mod apsp;
 pub mod cache;
 pub mod cancel;
-pub mod digraph;
 pub mod dijkstra;
 mod error;
 pub mod generate;
@@ -68,7 +65,6 @@ pub mod union_find;
 pub use apsp::DistanceMatrix;
 pub use cache::{CacheStats, SteinerCache, TreeCache};
 pub use cancel::{CancelToken, Cancelled};
-pub use digraph::DiGraph;
 pub use dijkstra::ShortestPaths;
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};

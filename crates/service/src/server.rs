@@ -14,7 +14,10 @@
 //! that re-checks the deadline, the touched nodes' versions, and the
 //! residual capacities before mutating anything — see [`crate::ledger`]
 //! for the snapshot/validate/confirm cycle and the bounded
-//! re-solve-on-conflict policy.
+//! re-solve-on-conflict policy. A commit whose every optimistic attempt
+//! lost its race makes one last attempt wholly under the write lock.
+//! Each request solves on the worker that popped it: the pool is the
+//! server's only fan-out level.
 //!
 //! Releases (`{"op":"release","session":N}`) ride the same queue and
 //! worker pool: admission credits the departing session's capacity to
@@ -22,8 +25,8 @@
 //! write lock — look the session up, apply the inverse delta
 //! all-or-nothing, confirm a `Release` record into the same ledger log.
 //!
-//! Rejections (`overloaded`, `insufficient_capacity`, `conflict`,
-//! `shutting_down`, parse errors) are answered inline, so an overloaded
+//! Rejections (`overloaded`, `insufficient_capacity`, `shutting_down`,
+//! parse errors) are answered inline, so an overloaded
 //! server stays responsive: every request gets a structured response,
 //! never a hang or a dropped connection. Jobs whose deadline expires
 //! while queued are shed — at pop time, and from a full queue at
@@ -40,11 +43,11 @@
 //! interrupts a solve mid-flight instead of waiting it out.
 
 use crate::admission::{AdmissionConfig, JobQueue};
-use crate::ledger::{CapacityLedger, CommitRecord, CommitRejection};
+use crate::ledger::{CapacityLedger, CommitRecord, CommitRejection, LedgerSnapshot};
 use crate::protocol::{EmbedResponse, Request, RequestMode};
 use crate::service::{EmbedService, ServiceError};
-use sft_core::{CoreError, MulticastTask, Network};
-use sft_graph::CancelToken;
+use sft_core::{CommitDelta, CoreError, MulticastTask, Network, SolveResult};
+use sft_graph::{CancelToken, Parallelism};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -73,9 +76,10 @@ pub struct ServerConfig {
     /// frozen network, so results are independent of connection
     /// interleaving — the property the batch-equivalence guarantee needs.
     pub default_mode: RequestMode,
-    /// Maximum solve attempts per commit before giving up with
-    /// `conflict` (each retry re-solves against the post-conflict state;
-    /// values below 1 behave as 1).
+    /// Optimistic solve attempts per commit (each retry re-solves against
+    /// the post-conflict state; values below 1 behave as 1). When all of
+    /// them lose their snapshot race, one last attempt solves and applies
+    /// under the write lock, so commits are never refused as `conflict`.
     pub commit_retries: usize,
     /// Run the re-embed/defrag batch ([`ServerHandle::defrag`]) on this
     /// period from a maintenance thread. `None` (the default) leaves
@@ -389,6 +393,12 @@ fn defrag_pass(shared: &Shared) -> DefragReport {
 
 /// Starts a server for `service` on `addr` (`host:port` or `unix:<path>`).
 ///
+/// Every request (and every defrag re-solve) runs its stage-1 sweep on
+/// one thread, whatever `service`'s [`sft_core::SolveOptions::parallelism`]
+/// says: the `workers` pool already spreads requests over the cores, and
+/// a sweep fanning out beneath it would only add thread start-up and
+/// contention (the same rule [`crate::BatchMode::Independent`] follows).
+///
 /// # Errors
 ///
 /// I/O errors binding the listener.
@@ -397,7 +407,7 @@ pub fn serve(service: EmbedService, addr: &str, config: ServerConfig) -> io::Res
     let local_addr = acceptor.local_addr();
     let shared = Arc::new(Shared {
         ledger: CapacityLedger::new(service.network()),
-        service: RwLock::new(service),
+        service: RwLock::new(service.with_parallelism(Parallelism::sequential())),
         queue: JobQueue::new(config.admission.queue_bound),
         draining: AtomicBool::new(false),
         drain: CancelToken::new(),
@@ -739,78 +749,125 @@ fn release_job(job: &Job, session: u64, shared: &Arc<Shared>) -> EmbedResponse {
     )
 }
 
-/// The transactional commit path: snapshot-solve under the read lock,
-/// then validate-and-apply in a short write-locked critical section.
-/// The response and the network always agree — a `deadline_exceeded` or
-/// `conflict` rejection has mutated **nothing**, and a success response
+/// The transactional commit path: up to `commit_retries` optimistic
+/// attempts snapshot and solve under the read lock, then validate and
+/// apply in a short write-locked critical section. When every one of them
+/// lost its snapshot race, a last attempt snapshots, solves, validates
+/// and applies under the write lock, as [`defrag_pass`] does, so no other
+/// commit can interleave: a commit is refused only for capacity,
+/// feasibility, delay or deadline. The response and the network always
+/// agree — a refusal has mutated **nothing**, and a success response
 /// reports exactly what was committed.
 fn commit_job(job: &Job, task: &MulticastTask, shared: &Arc<Shared>) -> EmbedResponse {
-    let attempts = shared.config.commit_retries.max(1);
-    for _ in 0..attempts {
-        // Phase 1: snapshot + solve under the read half, concurrently
-        // with quotes and other commit solves. The snapshot is coherent
-        // with the solve because confirms happen under the write half.
-        let solved = {
-            let service = shared.read_service();
-            let snapshot = shared.ledger.snapshot();
-            let cancel = shared.drain.child(job.deadline);
-            service
-                .solve_uncommitted_cancellable(task, Some(&cancel))
-                .map(|result| {
-                    let delta = service.network().commit_delta(task, &result.embedding);
-                    (snapshot, result, delta)
-                })
+    let retries = shared.config.commit_retries.max(1);
+    for _ in 0..retries {
+        // Snapshot + solve under the read half, concurrently with quotes
+        // and other commit solves. The snapshot is coherent with the
+        // solve because confirms happen under the write half.
+        let solved = match solve_commit(job, task, &shared.read_service(), shared) {
+            Ok(solved) => solved,
+            Err(response) => return response,
         };
-        let (snapshot, result, delta) = match solved {
-            Ok(s) => s,
-            // A cancelled solve mutated nothing: report the deadline if
-            // the job's budget ran out, otherwise the drain tripped it.
-            Err(ServiceError::Core(CoreError::Cancelled)) => {
-                return if job_expired(job) {
-                    expired_response(job)
-                } else {
-                    EmbedResponse::failure(job.id, &ServiceError::ShuttingDown)
-                };
-            }
-            Err(e) => return EmbedResponse::failure(job.id, &e),
-        };
-        // Phase 2+3: the atomic apply. Deadline and versions re-checked
-        // before anything mutates; the capacity re-check is
-        // `apply_commit` itself (all-or-nothing against the
-        // authoritative network).
-        let mut service = shared.write_service();
-        match shared.ledger.validate(&snapshot, &delta, job_expired(job)) {
-            Ok(()) => {}
-            Err(CommitRejection::Expired) => return expired_response(job),
-            Err(CommitRejection::Conflict { .. } | CommitRejection::ConflictEdge { .. }) => {
-                shared.conflicts.fetch_add(1, Ordering::Relaxed);
-                continue; // drop the write lock and re-solve
-            }
+        if let Some(response) = apply_solved(
+            job,
+            task,
+            &mut shared.write_service(),
+            shared,
+            solved,
+            false,
+        ) {
+            return response;
         }
-        match service.apply_commit(&delta) {
-            Ok(()) => {
-                // The task rides along so the defrag pass can re-solve
-                // this session later.
-                shared
-                    .ledger
-                    .confirm_with_task(job.id, &delta, Some(task.clone()));
-                return EmbedResponse::success(job.id, &result, true);
-            }
-            // Capacity (node or link) moved in a way the version vector
-            // cannot see only if the ledger mirror and network disagree —
-            // treat it as a conflict and re-solve rather than crash or
-            // half-apply.
-            Err(ServiceError::Core(
-                sft_core::CoreError::CapacityExceeded { .. }
-                | sft_core::CoreError::LinkCapacityExceeded { .. },
-            )) => {
-                shared.conflicts.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Err(e) => return EmbedResponse::failure(job.id, &e),
+        shared.conflicts.fetch_add(1, Ordering::Relaxed);
+    }
+    let mut service = shared.write_service();
+    let solved = match solve_commit(job, task, &service, shared) {
+        Ok(solved) => solved,
+        Err(response) => return response,
+    };
+    apply_solved(job, task, &mut service, shared, solved, true).unwrap_or_else(|| {
+        // Unreachable while the ledger and the network agree: nothing
+        // could confirm between this attempt's snapshot and its apply.
+        shared.conflicts.fetch_add(1, Ordering::Relaxed);
+        EmbedResponse::failure(
+            job.id,
+            &ServiceError::Conflict {
+                attempts: retries + 1,
+            },
+        )
+    })
+}
+
+/// A solved commit attempt: the ledger snapshot it solved against, the
+/// result, and the delta committing it would apply.
+type Solved = (LedgerSnapshot, SolveResult, CommitDelta);
+
+/// A commit attempt's first half: snapshot the ledger, solve against
+/// `service`, derive the delta. `Err` is the answer for a solve that
+/// failed or was cancelled, having mutated nothing.
+fn solve_commit(
+    job: &Job,
+    task: &MulticastTask,
+    service: &EmbedService,
+    shared: &Shared,
+) -> Result<Solved, EmbedResponse> {
+    let snapshot = shared.ledger.snapshot();
+    let cancel = shared.drain.child(job.deadline);
+    match service.solve_uncommitted_cancellable(task, Some(&cancel)) {
+        Ok(result) => {
+            let delta = service.network().commit_delta(task, &result.embedding);
+            Ok((snapshot, result, delta))
+        }
+        // A cancelled solve mutated nothing: report the deadline if the
+        // job's budget ran out, otherwise the drain tripped it.
+        Err(ServiceError::Core(CoreError::Cancelled)) => Err(if job_expired(job) {
+            expired_response(job)
+        } else {
+            EmbedResponse::failure(job.id, &ServiceError::ShuttingDown)
+        }),
+        Err(e) => Err(EmbedResponse::failure(job.id, &e)),
+    }
+}
+
+/// A commit attempt's second half, under the write lock: the deadline and
+/// the touched versions are re-checked before anything mutates, and the
+/// capacity re-check is `apply_commit` itself (all-or-nothing against the
+/// authoritative network). `None` means the attempt lost its snapshot
+/// race and mutated nothing. `locked` marks an attempt that held the
+/// write lock since its snapshot, where a capacity failure is a refusal.
+fn apply_solved(
+    job: &Job,
+    task: &MulticastTask,
+    service: &mut EmbedService,
+    shared: &Shared,
+    (snapshot, result, delta): Solved,
+    locked: bool,
+) -> Option<EmbedResponse> {
+    match shared.ledger.validate(&snapshot, &delta, job_expired(job)) {
+        Ok(()) => {}
+        Err(CommitRejection::Expired) => return Some(expired_response(job)),
+        Err(CommitRejection::Conflict { .. } | CommitRejection::ConflictEdge { .. }) => {
+            return None
         }
     }
-    EmbedResponse::failure(job.id, &ServiceError::Conflict { attempts })
+    match service.apply_commit(&delta) {
+        Ok(()) => {
+            // The task rides along so the defrag pass can re-solve this
+            // session later.
+            shared
+                .ledger
+                .confirm_with_task(job.id, &delta, Some(task.clone()));
+            Some(EmbedResponse::success(job.id, &result, true))
+        }
+        // Capacity (node or link) moved in a way the version vector
+        // cannot see only if the ledger mirror and network disagree — an
+        // optimistic attempt treats it as a lost race and re-solves
+        // rather than crash or half-apply.
+        Err(ServiceError::Core(
+            CoreError::CapacityExceeded { .. } | CoreError::LinkCapacityExceeded { .. },
+        )) if !locked => None,
+        Err(e) => Some(EmbedResponse::failure(job.id, &e)),
+    }
 }
 
 /// Writes one response line; returns whether the connection is still up.
@@ -1285,7 +1342,18 @@ mod tests {
             session: 1,
             deadline_ms: None,
         };
-        let responses = roundtrip(&addr, &[commit.to_json(), release.to_json()]);
+        // Answers on one connection arrive in completion order, so the
+        // release goes out only once the commit it names has answered.
+        let (reader, mut writer) = connect(&addr).unwrap();
+        let mut reader = BufReader::new(reader);
+        let mut responses = Vec::new();
+        for line in [commit.to_json(), release.to_json()] {
+            writeln!(writer, "{line}").unwrap();
+            writer.flush().unwrap();
+            let mut answer = String::new();
+            reader.read_line(&mut answer).unwrap();
+            responses.push(parse_response(answer.trim_end()).unwrap());
+        }
         assert!(
             matches!(
                 responses[0].body,

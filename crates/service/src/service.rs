@@ -59,7 +59,9 @@ pub enum ServiceError {
     },
     /// A commit lost its optimistic-concurrency race: concurrent commits
     /// kept invalidating its snapshot for the whole retry budget. Nothing
-    /// was mutated; the client may retry.
+    /// was mutated; the client may retry. The socket server makes its
+    /// last attempt under the write lock, so it answers this only if its
+    /// ledger and network ever disagree.
     Conflict {
         /// Solve attempts consumed before giving up.
         attempts: usize,
@@ -290,6 +292,12 @@ impl EmbedService {
     /// call before serving traffic.
     pub fn with_cache_capacity(mut self, max_entries: usize) -> Self {
         self.cache = SteinerCache::bounded(max_entries);
+        self
+    }
+
+    /// Runs every later solve's stage-1 sweep under `parallelism`.
+    pub(crate) fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.options.parallelism = parallelism;
         self
     }
 

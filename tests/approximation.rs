@@ -90,7 +90,7 @@ fn ilp_optimum_never_exceeds_the_chain_tree_oracle() {
 
 #[test]
 fn theorem2_holds_on_random_networks() {
-    // The expanded-MOD Dijkstra equals the brute-force optimal chain when
+    // The expanded-MOD shortest paths equal the brute-force optimal chain when
     // capacities are ample.
     let config = ScenarioConfig {
         network_size: 8,
@@ -108,13 +108,12 @@ fn theorem2_holds_on_random_networks() {
         let emod =
             sft::core::mod_network::ExpandedMod::build(&s.network, s.task.source(), s.task.sfc())
                 .unwrap();
-        let sp = emod.shortest_paths();
-        let dijkstra_best = (0..emod.servers().len())
-            .filter_map(|row| emod.placement_for(&sp, row).map(|(_, c)| c))
+        let mod_best = (0..emod.servers().len())
+            .filter_map(|row| emod.placement_for(row).map(|(_, c)| c))
             .fold(f64::INFINITY, f64::min);
         assert!(
-            (dijkstra_best - brute_cost).abs() < 1e-9,
-            "seed {seed}: {dijkstra_best} vs {brute_cost}"
+            (mod_best - brute_cost).abs() < 1e-9,
+            "seed {seed}: {mod_best} vs {brute_cost}"
         );
     }
 }

@@ -2,9 +2,10 @@
 //! race commits against one socket server, and afterwards the books must
 //! balance exactly:
 //!
-//! * every response is structured (success, `conflict`,
-//!   `insufficient_capacity`, or `infeasible`) — never a hang, a torn
-//!   line, or a dropped connection;
+//! * every response is structured (success, `insufficient_capacity`, or
+//!   `infeasible`; a commit whose optimistic attempts all lose their race
+//!   retries under the write lock, so none answers `conflict`) — never a
+//!   hang, a torn line, or a dropped connection;
 //! * residual capacities are non-negative on every node;
 //! * sum-of-deltas accounting is exact: initial minus final total
 //!   residual equals the summed demand of every logged deploy;
@@ -102,7 +103,7 @@ fn storm(clients: usize, tasks_per_client: usize, capacity: f64) {
             ResponseBody::Error(e) => assert!(
                 matches!(
                     e.code,
-                    ErrorCode::Conflict | ErrorCode::InsufficientCapacity | ErrorCode::Infeasible
+                    ErrorCode::InsufficientCapacity | ErrorCode::Infeasible
                 ),
                 "unexpected rejection: {e:?}"
             ),

@@ -11,8 +11,8 @@
 //!   approximately back, exactly back;
 //! * no instance is stranded (`deployment_refcounts` is the seed's);
 //! * the server answered everything structurally (commits may bounce as
-//!   `insufficient_capacity`/`conflict` on a tight network; releases of
-//!   committed sessions must all succeed);
+//!   `insufficient_capacity` on a tight network but never as `conflict`;
+//!   releases of committed sessions must all succeed);
 //! * the mixed commit/release log replays serially to the same state.
 
 use sft::core::{Network, VnfCatalog};
@@ -97,7 +97,7 @@ fn churn_client(addr: std::net::SocketAddr, client: usize, sessions: usize) -> (
             ResponseBody::Error(e) => assert!(
                 matches!(
                     e.code,
-                    ErrorCode::Conflict | ErrorCode::InsufficientCapacity | ErrorCode::Infeasible
+                    ErrorCode::InsufficientCapacity | ErrorCode::Infeasible
                 ),
                 "unexpected rejection: {e:?}"
             ),

@@ -6,10 +6,19 @@
 //!    two are interchangeable.
 //! 2. The sweep's winner must be reachable by taking the minimum of the
 //!    candidate enumeration.
+//! 3. The layered DP that prices every chain (Theorem 2) decodes, row by
+//!    row, the same placement and bit-identical cost as a heap Dijkstra
+//!    over the materialized expanded MOD network, ties included.
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use sft::core::mod_network::ExpandedMod;
 use sft::core::msa::{stage_one_candidates, stage_one_with_options, SteinerMethod};
-use sft::core::{delivery_cost, Parallelism};
+use sft::core::{delivery_cost, Network, Parallelism, Sfc, VnfCatalog, VnfId};
+use sft::graph::{Graph, NodeId};
 use sft::topology::{generate, ScenarioConfig};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 #[test]
 fn closed_form_cost_matches_canonical_delivery_cost_on_every_candidate() {
@@ -64,4 +73,176 @@ fn sweep_winner_is_the_candidate_minimum() {
         .unwrap()
         .total();
     assert!((winner_cost - min).abs() <= 1e-6 * min.max(1.0));
+}
+
+/// Heap key ordering distances totally, as the graph crate's Dijkstra does.
+#[derive(Copy, Clone, PartialEq)]
+struct Key(f64);
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One row's decoded chain: placement, cost, and whether some in-half on
+/// its path had two or more relaxers reaching its final distance.
+type OracleRow = Option<(Vec<NodeId>, f64, bool)>;
+
+/// The search the layered DP replaced, kept as its oracle: materialize
+/// the expanded MOD network (overlay id 0 = source, then an in/out pair
+/// per (column, row), arcs added in the same order), run a heap Dijkstra
+/// that pops in (distance, node id) order and relaxes with a strict `<`,
+/// and walk each last-column out-half back to the source.
+fn overlay_dijkstra(network: &Network, source: NodeId, sfc: &Sfc) -> Vec<OracleRow> {
+    let servers: Vec<NodeId> = network.servers().collect();
+    let (ns, k) = (servers.len(), sfc.len());
+    let node_in = |j: usize, row: usize| 1 + 2 * (j * ns + row);
+    let dist = network.dist();
+    let mut arcs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 1 + 2 * ns * k];
+    for (row, &s) in servers.iter().enumerate() {
+        if let Some(d) = dist.distance(source, s) {
+            arcs[0].push((node_in(0, row), d));
+        }
+    }
+    for j in 0..k {
+        for (row, &s) in servers.iter().enumerate() {
+            let setup = network.effective_setup_cost(sfc.stage(j + 1), s);
+            arcs[node_in(j, row)].push((node_in(j, row) + 1, setup));
+        }
+    }
+    for j in 0..k - 1 {
+        for (row_a, &a) in servers.iter().enumerate() {
+            for (row_b, &b) in servers.iter().enumerate() {
+                if let Some(d) = dist.distance(a, b) {
+                    arcs[node_in(j, row_a) + 1].push((node_in(j + 1, row_b), d));
+                }
+            }
+        }
+    }
+
+    let n = arcs.len();
+    let mut best = vec![f64::INFINITY; n];
+    let mut pred = vec![usize::MAX; n];
+    let mut settled = vec![false; n];
+    let mut heap = BinaryHeap::new();
+    best[0] = 0.0;
+    heap.push(Reverse((Key(0.0), 0usize)));
+    while let Some(Reverse((Key(d), u))) = heap.pop() {
+        if std::mem::replace(&mut settled[u], true) {
+            continue;
+        }
+        for &(v, w) in &arcs[u] {
+            let nd = d + w;
+            if nd < best[v] {
+                best[v] = nd;
+                pred[v] = u;
+                heap.push(Reverse((Key(nd), v)));
+            }
+        }
+    }
+    let mut optimal_relaxers = vec![0u32; n];
+    for (u, out) in arcs.iter().enumerate() {
+        for &(v, w) in out {
+            if best[u].is_finite() && best[u] + w == best[v] {
+                optimal_relaxers[v] += 1;
+            }
+        }
+    }
+
+    (0..ns)
+        .map(|row| {
+            let target = node_in(k - 1, row) + 1;
+            let cost = best[target];
+            if !cost.is_finite() {
+                return None;
+            }
+            let (mut placement, mut tied) = (Vec::with_capacity(k), false);
+            let mut cur = target;
+            while cur != 0 {
+                if (cur - 1) % 2 == 0 {
+                    placement.push(servers[((cur - 1) / 2) % ns]);
+                    tied |= optimal_relaxers[cur] > 1;
+                }
+                cur = pred[cur];
+            }
+            placement.reverse();
+            Some((placement, cost, tied))
+        })
+        .collect()
+}
+
+/// A random network of at most 7 nodes with integer edge weights and
+/// setup costs (so equal path costs are common), some switches, some
+/// pre-deployed instances and possibly unreachable servers.
+fn tie_heavy_network(rng: &mut StdRng) -> Network {
+    const TYPES: usize = 3;
+    let n = rng.random_range(2..=7usize);
+    let mut g = Graph::new(n);
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.random_range(0..3u32) == 0 {
+                let w = f64::from(rng.random_range(0..=3u32));
+                g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+            }
+        }
+    }
+    let mut servers: Vec<usize> = (0..n).filter(|_| rng.random_range(0..3u32) > 0).collect();
+    if servers.is_empty() {
+        servers.push(rng.random_range(0..n));
+    }
+    let mut b = Network::builder(g, VnfCatalog::uniform(TYPES));
+    for &v in &servers {
+        b = b.server(NodeId(v), TYPES as f64).unwrap();
+    }
+    for f in 0..TYPES {
+        for v in 0..n {
+            let cost = f64::from(rng.random_range(0..=3u32));
+            b = b.setup_cost(VnfId(f), NodeId(v), cost).unwrap();
+        }
+        for &v in &servers {
+            if rng.random_range(0..5u32) == 0 {
+                b = b.deploy(VnfId(f), NodeId(v)).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn layered_dp_matches_the_overlay_dijkstra_row_by_row() {
+    let mut rng = StdRng::seed_from_u64(0x5f7);
+    let (mut rows, mut reached, mut tied) = (0usize, 0usize, 0usize);
+    for case in 0..3000 {
+        let network = tie_heavy_network(&mut rng);
+        let source = NodeId(rng.random_range(0..network.node_count()));
+        let k = rng.random_range(1..=4usize);
+        let stages: Vec<VnfId> = (0..k).map(|_| VnfId(rng.random_range(0..3usize))).collect();
+        let sfc = Sfc::new(stages).unwrap();
+        let dp = ExpandedMod::build(&network, source, &sfc).unwrap();
+        let oracle = overlay_dijkstra(&network, source, &sfc);
+        assert_eq!(dp.servers().len(), oracle.len(), "case {case}");
+        for (row, want) in oracle.into_iter().enumerate() {
+            let got = dp.placement_for(row);
+            rows += 1;
+            reached += usize::from(want.is_some());
+            tied += usize::from(want.as_ref().is_some_and(|w| w.2));
+            assert_eq!(
+                got.map(|(p, c)| (p, c.to_bits())),
+                want.map(|(p, c, _)| (p, c.to_bits())),
+                "case {case} (k = {k}, source {source}) row {row}"
+            );
+        }
+    }
+    // The draw must exercise the tie rule and the unreachable rows.
+    assert!(tied * 5 >= reached, "{tied} tied of {reached} reached rows");
+    assert!(reached < rows, "some rows must be unreachable");
 }

@@ -50,11 +50,11 @@ SOLVE / EXACT FLAGS:
   --dests <a,b,c>       destination node indices (required)
   --sfc <k>             chain length, types 0..k (default 3)
   --strategy <msa|sca|rsa>   stage-1 algorithm (default msa)
-  --threads <n>         worker threads for the stage-1 sweep; 0 = all
-                        cores (default). Results are identical for every
-                        value — only the runtime changes. Also read by
-                        batch and stdin serve; serve --listen solves each
-                        request on one worker and ignores it.
+  --threads <n>         worker threads for batch --mode independent; 0 =
+                        all cores (default). Results are identical for
+                        every value. One solve always runs on one thread
+                        (the stage-1 sweep prunes with one incumbent), so
+                        solve, exact and serve accept it without effect.
   --no-opa              skip stage 2
   --delay-budget <ms>   end-to-end delay budget per destination; the
                         solve repairs routes to meet it or fails with

@@ -1,4 +1,10 @@
 //! High-level entry points: run a full two-stage solve with one call.
+//!
+//! A task with a delay budget is solved as if it had none; then each late
+//! destination route is rerouted between its fixed waypoints along a λ
+//! ladder of `cost + λ·latency` metrics. The ladder's per-(rung, server)
+//! shortest-path trees depend only on the graph, so they are computed
+//! once per network and shared by its clones ([`RerouteTrees`]).
 
 use crate::chain::ChainSolution;
 use crate::cost::{delivery_cost, CostBreakdown};
@@ -9,6 +15,8 @@ use crate::task::MulticastTask;
 use crate::CoreError;
 use rand::Rng;
 use sft_graph::{approx_le, CancelToken, EdgeId, Graph, NodeId, Parallelism, TreeCache};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Which stage-1 algorithm to run (stage 2 / OPA is shared, §V-A).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -34,16 +42,17 @@ pub enum StageTwo {
 
 /// Knobs shared by every solve entry point.
 ///
-/// `Default` runs the full two-stage pipeline on all available cores.
-/// Every algorithm is bit-deterministic in `parallelism`:
-/// [`Parallelism::sequential`] reproduces the single-threaded code path
-/// exactly, and larger thread counts return identical results faster.
+/// `Default` runs the full two-stage pipeline. Every solve runs on the
+/// calling thread; `parallelism` only sizes task-level fan-out by callers
+/// that solve many tasks at once.
 #[derive(Clone, Debug, Default)]
 pub struct SolveOptions {
     /// Whether to run the stage-2 optimization (default: run OPA).
     pub stage_two: StageTwo,
-    /// Worker threads for the parallel stages — today the MSA stage-1
-    /// candidate sweep (default: available cores).
+    /// Worker threads for task-level fan-out, such as
+    /// `sft_service`'s independent batch mode (default: available cores).
+    /// No solve reads it: the MSA stage-1 sweep runs on the calling thread
+    /// so that one incumbent prunes every candidate row.
     pub parallelism: Parallelism,
     /// Cooperative cancellation for mid-solve interruption (deadline
     /// expiry, queue shed, graceful drain). Polled in the MSA stage-1
@@ -54,7 +63,8 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Options running the given stage-2 choice on all available cores.
+    /// Options running the given stage-2 choice, fanning tasks out over
+    /// all available cores.
     pub fn new(stage_two: StageTwo) -> Self {
         SolveOptions {
             stage_two,
@@ -137,7 +147,7 @@ pub fn solve(
     solve_with_options(network, task, strategy, SolveOptions::new(stage_two))
 }
 
-/// [`solve`] with explicit [`SolveOptions`] (stage-2 choice + thread count).
+/// [`solve`] with explicit [`SolveOptions`] (stage-2 choice, cancellation).
 ///
 /// Tasks with a bandwidth demand are solved on a
 /// [`Network::bandwidth_view`] when any link is too saturated to carry
@@ -186,7 +196,7 @@ pub fn solve_with_options(
 /// instead of a throwaway per-solve map (see
 /// [`crate::msa::stage_one_with_cache`] for the validity contract); the
 /// other strategies ignore the cache. Results are bit-identical to
-/// [`solve_with_options`] for every cache state and thread count.
+/// [`solve_with_options`] for every cache state.
 ///
 /// # Errors
 ///
@@ -307,6 +317,119 @@ fn finish(
 /// serves as the feasibility certificate for the fixed waypoint set.
 const LAMBDA_LADDER: &[f64] = &[0.0, 0.25, 1.0, 4.0, 16.0];
 
+/// Metrics the delay repair routes under: one per λ rung, then the
+/// latency-only certificate.
+const RUNGS: usize = LAMBDA_LADDER.len() + 1;
+
+/// Per-edge weight of rung `rung`.
+fn rung_weight(graph: &Graph, rung: usize, e: EdgeId) -> f64 {
+    match LAMBDA_LADDER.get(rung) {
+        Some(&lambda) => graph.weight(e) + lambda * graph.effective_latency(e),
+        None => graph.effective_latency(e),
+    }
+}
+
+/// Marks "no predecessor" in a [`RerouteTrees`] slot.
+const NO_PRED: u32 = u32::MAX;
+
+/// The delay repair's single-source trees, one per (rung, server), memoized
+/// for the life of a network and shared by its clones.
+///
+/// A rung's metric reads only edge weights and latencies, which no commit
+/// or release changes, so a tree computed once serves every later solve.
+/// Each slot is filled on first use by a full run of the same Dijkstra the
+/// early-stopped per-segment search runs (same adjacency order, same f64
+/// weights); a node's predecessor is final once it settles and every node
+/// on a path settles before its end, so the predecessor walk returns
+/// exactly the early-stopped path. Slots keep predecessors only, 4 bytes
+/// per node, for at most `RUNGS · |S|` trees.
+pub(crate) struct RerouteTrees {
+    /// Server nodes in index order; `slots[rung * servers.len() + i]`
+    /// holds the rung's tree from `servers[i]`.
+    servers: Vec<NodeId>,
+    slots: Vec<OnceLock<Box<[u32]>>>,
+}
+
+impl RerouteTrees {
+    pub(crate) fn new(servers: Vec<NodeId>) -> Self {
+        let slots = (0..RUNGS * servers.len())
+            .map(|_| OnceLock::new())
+            .collect();
+        RerouteTrees { servers, slots }
+    }
+
+    /// The rung's shortest `a`→`b` path read off the tree from `a`
+    /// (`Some(None)` when `b` is unreachable), or `None` when `a` is not a
+    /// server and so has no slot.
+    fn path(
+        &self,
+        graph: &Graph,
+        rung: usize,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<Option<Vec<NodeId>>> {
+        let i = self.servers.binary_search(&a).ok()?;
+        if a == b {
+            return Some(Some(vec![a]));
+        }
+        let pred = self.slots[rung * self.servers.len() + i].get_or_init(|| {
+            let tree = graph.dijkstra_with(a, |e| rung_weight(graph, rung, e));
+            let index = |p: NodeId| u32::try_from(p.0).expect("graph exceeds u32 node ids");
+            graph
+                .nodes()
+                .map(|v| tree.predecessor(v).map_or(NO_PRED, index))
+                .collect()
+        });
+        if pred[b.0] == NO_PRED {
+            return Some(None);
+        }
+        let mut path = vec![b];
+        let mut cur = b;
+        while cur != a {
+            cur = NodeId(pred[cur.0] as usize);
+            path.push(cur);
+        }
+        path.reverse();
+        Some(Some(path))
+    }
+}
+
+impl std::fmt::Debug for RerouteTrees {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.slots.iter().filter(|s| s.get().is_some()).count();
+        f.debug_struct("RerouteTrees")
+            .field("servers", &self.servers.len())
+            .field("filled", &filled)
+            .finish()
+    }
+}
+
+/// Shortest segments under each rung for one delay repair: read off the
+/// network's [`RerouteTrees`] when the segment starts at a server, else
+/// (at the task source) found by an early-stopped search memoized for
+/// this repair, so every late destination shares it.
+struct RungPaths<'a> {
+    network: &'a Network,
+    searched: BTreeMap<(usize, NodeId, NodeId), Option<Vec<NodeId>>>,
+}
+
+impl RungPaths<'_> {
+    fn path(&mut self, rung: usize, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+        let graph = self.network.graph();
+        if let Some(path) = self.network.reroute_trees().path(graph, rung, a, b) {
+            return path;
+        }
+        self.searched
+            .entry((rung, a, b))
+            .or_insert_with(|| {
+                graph
+                    .dijkstra_to_with(a, b, |e| rung_weight(graph, rung, e))
+                    .path_to(b)
+            })
+            .clone()
+    }
+}
+
 /// Sum of effective edge latencies over every segment of `route`.
 fn route_delay(graph: &Graph, route: &DestinationRoute) -> Result<f64, CoreError> {
     let mut total = 0.0;
@@ -330,6 +453,10 @@ fn enforce_delay_budget(
     budget: f64,
 ) -> Result<(Embedding, f64), CoreError> {
     let graph = network.graph();
+    let mut paths = RungPaths {
+        network,
+        searched: BTreeMap::new(),
+    };
     let mut routes = embedding.routes().to_vec();
     let mut max_delay = 0.0f64;
     for (i, route) in routes.iter_mut().enumerate() {
@@ -338,7 +465,7 @@ fn enforce_delay_budget(
             max_delay = max_delay.max(delay);
             continue;
         }
-        let (repaired, new_delay) = repair_route(graph, task, i, route, budget)?;
+        let (repaired, new_delay) = repair_route(&mut paths, task, i, route, budget)?;
         *route = repaired;
         max_delay = max_delay.max(new_delay);
     }
@@ -350,12 +477,13 @@ fn enforce_delay_budget(
 /// ordered by increasing delay pressure, so this picks the cheapest
 /// feasible candidate the ladder offers.
 fn repair_route(
-    graph: &Graph,
+    paths: &mut RungPaths<'_>,
     task: &MulticastTask,
     dest_index: usize,
     route: &DestinationRoute,
     budget: f64,
 ) -> Result<(DestinationRoute, f64), CoreError> {
+    let graph = paths.network.graph();
     let endpoints: Vec<(NodeId, NodeId)> = route
         .segments()
         .iter()
@@ -365,11 +493,8 @@ fn repair_route(
             (first, last)
         })
         .collect();
-    for &lambda in LAMBDA_LADDER {
-        let candidate = reroute(graph, &endpoints, |e| {
-            graph.weight(e) + lambda * graph.effective_latency(e)
-        });
-        if let Some(candidate) = candidate {
+    for rung in 0..LAMBDA_LADDER.len() {
+        if let Some(candidate) = reroute(paths, rung, &endpoints) {
             let delay = route_delay(graph, &candidate)?;
             if approx_le(delay, budget) {
                 return Ok((candidate, delay));
@@ -378,7 +503,7 @@ fn repair_route(
     }
     // Latency-only rung: the minimum achievable delay through the fixed
     // waypoints. Failing it is the infeasibility certificate.
-    let candidate = reroute(graph, &endpoints, |e| graph.effective_latency(e));
+    let candidate = reroute(paths, LAMBDA_LADDER.len(), &endpoints);
     if let Some(candidate) = candidate {
         let delay = route_delay(graph, &candidate)?;
         if approx_le(delay, budget) {
@@ -399,17 +524,16 @@ fn repair_route(
 }
 
 /// Recomputes every segment of a route as a shortest path under the
-/// given per-edge metric, keeping the segment endpoints fixed. `None`
-/// when any endpoint pair is disconnected.
-fn reroute<F: Fn(EdgeId) -> f64>(
-    graph: &Graph,
+/// rung's metric, keeping the segment endpoints fixed. `None` when any
+/// endpoint pair is disconnected.
+fn reroute(
+    paths: &mut RungPaths<'_>,
+    rung: usize,
     endpoints: &[(NodeId, NodeId)],
-    weight: F,
 ) -> Option<DestinationRoute> {
     let mut segments = Vec::with_capacity(endpoints.len());
     for &(a, b) in endpoints {
-        let sp = graph.dijkstra_to_with(a, b, &weight);
-        segments.push(sp.path_to(b)?);
+        segments.push(paths.path(rung, a, b)?);
     }
     Some(DestinationRoute::new(segments))
 }

@@ -9,14 +9,22 @@
 //!    to all destinations;
 //!
 //! and keeps the candidate with the smallest canonical delivery cost
-//! (Theorem 3: the result is feasible).
+//! (Theorem 3: the result is feasible), the lowest row among equal costs.
+//!
+//! Step 3 dominates, so the sweep prunes it exactly: every row gets a
+//! cheap lower bound (its chain cost plus its farthest destination), rows
+//! are visited in ascending bound order, and the sweep stops once no
+//! unvisited row can beat the incumbent. The winner, its tree and its
+//! cost are those of the exhaustive sweep ([`stage_one_candidates`]).
+//! The sweep runs on the calling thread, so one incumbent prunes every
+//! row.
 
 use crate::chain::{repair_capacity, ChainSolution, LoadSnapshot};
 use crate::mod_network::ExpandedMod;
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
-use sft_graph::parallel::{run_partitioned, Parallelism};
+use sft_graph::parallel::Parallelism;
 use sft_graph::{CancelToken, NodeId, SteinerCache, SteinerTree, TreeCache};
 use std::collections::BTreeMap;
 
@@ -33,6 +41,11 @@ pub enum SteinerMethod {
     /// Takahashi–Matsuyama incremental path heuristic.
     Takahashi,
 }
+
+/// Relative slack shaved off each row's lower bound, so that rounding in
+/// the distance rows and in the tree's edge sum (both far below 1e-12
+/// relative) can never lift a bound above the cost the row computes.
+const BOUND_SLACK: f64 = 1e-9;
 
 /// Runs MSA stage 1, returning the best chain-plus-tree solution.
 ///
@@ -59,15 +72,12 @@ pub fn stage_one_with(
     stage_one_with_options(network, task, method, Parallelism::auto())
 }
 
-/// Runs MSA stage 1 with an explicit Steiner construction and thread count.
+/// Runs MSA stage 1 with an explicit Steiner construction.
 ///
-/// The candidate sweep is embarrassingly parallel: each last-VNF server row
-/// is evaluated independently (the per-root Steiner cache is a pure
-/// memoization). Workers sweep contiguous row blocks with their own caches
-/// and the block winners are merged in row order with the same strict-`<`
-/// rule the sequential loop uses, so every thread count — including
-/// [`Parallelism::sequential`], which runs the classic single-threaded
-/// loop — returns bit-identical placements, Steiner edges and costs.
+/// The sweep runs on the calling thread for every `parallelism`: one
+/// incumbent prunes every row, and the rows it visits (and so the Steiner
+/// cache's counters) do not depend on the host's core count. The argument
+/// is kept for callers that pass one thread count to every stage.
 ///
 /// # Errors
 ///
@@ -78,14 +88,13 @@ pub fn stage_one_with_options(
     method: SteinerMethod,
     parallelism: Parallelism,
 ) -> Result<ChainSolution, CoreError> {
-    sweep::<SteinerCache>(network, task, method, parallelism, None, None)
+    stage_one_cancellable(network, task, method, parallelism, None)
 }
 
 /// [`stage_one_with_options`] with a cooperative [`CancelToken`].
 ///
-/// The token is polled once per candidate row in the sweep (each worker
-/// stops scanning its block as soon as it observes the trip) and inside
-/// lazy distance-row computation, so a mid-solve cancellation interrupts
+/// The token is polled once per visited candidate row and inside lazy
+/// distance-row computation, so a mid-solve cancellation interrupts
 /// within one candidate evaluation. A cancelled sweep returns
 /// [`CoreError::Cancelled`] — never a partial winner — and mutates no
 /// shared state (persistent Steiner caches may retain trees finished
@@ -99,10 +108,10 @@ pub fn stage_one_cancellable(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
-    sweep::<SteinerCache>(network, task, method, parallelism, None, cancel)
+    sweep::<SteinerCache>(network, task, method, None, cancel)
 }
 
 /// Runs MSA stage 1 against a persistent, externally owned Steiner cache.
@@ -114,8 +123,9 @@ pub fn stage_one_cancellable(
 /// never on capacities or deployments — so the cache stays valid across
 /// committed embeddings and must only be flushed when the graph itself
 /// changes (see [`sft_graph::cache`] for the full contract). Results are
-/// bit-identical to [`stage_one_with_options`] at every thread count: a
-/// cached tree is exactly the tree a fresh computation would build.
+/// bit-identical to [`stage_one_with_options`]: a cached tree is exactly
+/// the tree a fresh computation would build. `parallelism` is ignored, as
+/// in [`stage_one_with_options`].
 ///
 /// One cache must serve a single [`SteinerMethod`] — trees are keyed by
 /// terminals only, so mixing constructions on one cache would conflate
@@ -131,7 +141,7 @@ pub fn stage_one_with_cache<C: TreeCache>(
     parallelism: Parallelism,
     cache: &C,
 ) -> Result<ChainSolution, CoreError> {
-    sweep(network, task, method, parallelism, Some(cache), None)
+    stage_one_with_cache_cancellable(network, task, method, parallelism, cache, None)
 }
 
 /// [`stage_one_with_cache`] with a cooperative [`CancelToken`] — see
@@ -145,20 +155,38 @@ pub fn stage_one_with_cache_cancellable<C: TreeCache>(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
     cache: &C,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
-    sweep(network, task, method, parallelism, Some(cache), cancel)
+    sweep(network, task, method, Some(cache), cancel)
 }
 
-/// The shared sweep behind [`stage_one_with_options`] (per-solve local
-/// caches) and [`stage_one_with_cache`] (one persistent shared cache).
+/// A candidate row after chain readout and capacity repair, before its
+/// Steiner tree is built.
+struct Decoded {
+    row: usize,
+    placement: Vec<NodeId>,
+    /// [`chain_cost`] of the repaired placement.
+    chain: f64,
+}
+
+/// The bound-and-prune sweep behind every `stage_one_*` entry, against a
+/// persistent cache (`shared`) or a per-solve map.
+///
+/// A row's bound `B` is its exact chain cost plus `max_d dist(d, w)`: a
+/// tree spanning `{w} ∪ D` contains a `w`–`d` path for every destination,
+/// so its cost is at least that distance, and f64 addition is monotone,
+/// so `B` (shaved by [`BOUND_SLACK`]) never exceeds the cost the row
+/// computes. Rows are visited in ascending `(B, row)` order; the sweep
+/// stops at the first row whose bound exceeds the incumbent cost, or
+/// equals it at a higher row. The incumbent changes on a lower cost, or on
+/// an equal cost at a lower row, so the winner is the exhaustive sweep's
+/// lowest-row minimum.
 fn sweep<C: TreeCache>(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
-    parallelism: Parallelism,
     shared: Option<&C>,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
@@ -168,57 +196,65 @@ fn sweep<C: TreeCache>(
     task.check_against(network)?;
     let emod = ExpandedMod::build(network, task.source(), task.sfc())?;
     let loads = LoadSnapshot::new(network);
-    let rows = emod.servers().len();
 
-    // Each worker sweeps a contiguous row block with its own Steiner cache
-    // (or the shared one) and keeps its block's best candidate; the block
-    // winners come back in row order. Ties break toward the lowest row both
-    // inside a block (first strict improvement wins) and across blocks
-    // (left fold below), exactly matching the sequential sweep. A tripped
-    // cancel token makes each worker abandon its remaining rows; the
-    // post-merge check below turns that into `CoreError::Cancelled`, so a
-    // partial sweep can never pass off its best-so-far as the answer.
-    let block_best = run_partitioned(parallelism, rows, |range| {
-        let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
-        let mut best: Option<(f64, ChainSolution)> = None;
-        for row in range {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
+    let mut rows: Vec<(f64, Decoded)> = Vec::with_capacity(emod.servers().len());
+    for row in 0..emod.servers().len() {
+        let Some(decoded) = decode_row(network, task, &emod, &loads, row) else {
+            continue;
+        };
+        let w = *decoded.placement.last().expect("chain is non-empty");
+        // A row with an unreachable destination can have no tree; a
+        // cancelled row read is turned into `Cancelled` below.
+        if let Some(bound) = lower_bound(network, task, decoded.chain, w, cancel) {
+            rows.push((bound, decoded));
+        }
+    }
+    if let Some(token) = cancel {
+        token.check()?;
+    }
+    // Stable: equal bounds keep row order.
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+    let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
+    let mut best: Option<(f64, usize, ChainSolution)> = None;
+    for (bound, decoded) in rows {
+        if let Some((cost, row, _)) = &best {
+            if bound > *cost || (bound == *cost && decoded.row > *row) {
                 break;
             }
-            let Some((cost, chain)) = evaluate_candidate(
-                network, task, method, &emod, &loads, &mut local, shared, cancel, row,
-            ) else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                best = Some((cost, chain));
-            }
         }
-        best
-    });
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            break;
+        }
+        let w = *decoded.placement.last().expect("chain is non-empty");
+        let Some(tree) = tree_for(network, task, method, w, &mut local, shared, cancel) else {
+            continue;
+        };
+        let cost = decoded.chain + tree.cost;
+        if best
+            .as_ref()
+            .is_none_or(|(b, r, _)| cost < *b || (cost == *b && decoded.row < *r))
+        {
+            let chain = ChainSolution {
+                placement: decoded.placement,
+                steiner_edges: tree.edges,
+            };
+            best = Some((cost, decoded.row, chain));
+        }
+    }
 
     if let Some(token) = cancel {
         token.check()?;
     }
-
-    let best = block_best.into_iter().flatten().fold(
-        None::<(f64, ChainSolution)>,
-        |acc, (cost, chain)| {
-            if acc.as_ref().is_none_or(|(b, _)| cost < *b) {
-                Some((cost, chain))
-            } else {
-                acc
-            }
-        },
-    );
-
-    best.map(|(_, c)| c).ok_or_else(|| CoreError::Infeasible {
-        reason: "no feasible chain embedding for any last-VNF candidate".into(),
-    })
+    best.map(|(_, _, c)| c)
+        .ok_or_else(|| CoreError::Infeasible {
+            reason: "no feasible chain embedding for any last-VNF candidate".into(),
+        })
 }
 
 /// Enumerates every feasible stage-1 candidate as `(closed-form cost,
-/// solution)` pairs in row order — the exact set the sweep minimizes over.
+/// solution)` pairs in row order — the exact set the sweep minimizes over,
+/// built without pruning (the sweep's test oracle).
 ///
 /// Exposed so tests can check the DESIGN §6 invariant that the closed-form
 /// cost of each candidate equals the canonical [`crate::cost::delivery_cost`]
@@ -267,8 +303,8 @@ fn build_tree(
     let mut terminals = vec![w];
     terminals.extend_from_slice(task.destinations());
     // `.ok()` also swallows a mid-build cancellation; that is safe — the
-    // sweep re-checks the token after the merge, so a cancelled solve
-    // still returns `CoreError::Cancelled` rather than a partial winner.
+    // sweep re-checks the token at its end, so a cancelled solve still
+    // returns `CoreError::Cancelled` rather than a partial winner.
     match method {
         SteinerMethod::Kmb => network
             .graph()
@@ -278,30 +314,59 @@ fn build_tree(
     }
 }
 
-/// Evaluates one last-VNF candidate row: chain readout, capacity repair,
-/// Steiner tree, closed-form cost. Returns `None` when the row yields no
-/// feasible embedding. Trees are memoized per (repaired) last node —
-/// through `shared` when a persistent cache is plugged in, through the
-/// per-worker `local` map otherwise; `None` entries record roots whose
-/// tree construction failed (e.g. disconnected from some destination).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_candidate<C: TreeCache>(
+/// Reads one row's chain off the MOD solution and repairs its capacity;
+/// `None` when the row yields no feasible chain.
+fn decode_row(
+    network: &Network,
+    task: &MulticastTask,
+    emod: &ExpandedMod,
+    loads: &LoadSnapshot,
+    row: usize,
+) -> Option<Decoded> {
+    let (mut placement, _) = emod.placement_for(row)?;
+    repair_capacity(network, loads, task.source(), task.sfc(), &mut placement).ok()?;
+    let chain = chain_cost(network, task, &placement);
+    Some(Decoded {
+        row,
+        placement,
+        chain,
+    })
+}
+
+/// A lower bound on the cost of any candidate whose chain costs `chain`
+/// and ends at `w`, read from the destination rows (the graph is
+/// undirected): `chain + max_d dist(d, w)`, shaved by [`BOUND_SLACK`].
+/// `None` when some destination cannot reach `w`, or `cancel` trips.
+fn lower_bound(
+    network: &Network,
+    task: &MulticastTask,
+    chain: f64,
+    w: NodeId,
+    cancel: Option<&CancelToken>,
+) -> Option<f64> {
+    let dist = network.dist();
+    let mut far = 0.0f64;
+    for &d in task.destinations() {
+        far = far.max(dist.try_distance(d, w, cancel).ok()??);
+    }
+    let bound = chain + far;
+    Some(bound - bound * BOUND_SLACK)
+}
+
+/// The delivery tree rooted at `w`, memoized through `shared` when a
+/// persistent cache is plugged in and through the per-solve `local` map
+/// otherwise; `None` entries record roots whose tree construction failed
+/// (e.g. disconnected from some destination).
+fn tree_for<C: TreeCache>(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
-    emod: &ExpandedMod,
-    loads: &LoadSnapshot,
+    w: NodeId,
     local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
     shared: Option<&C>,
     cancel: Option<&CancelToken>,
-    row: usize,
-) -> Option<(f64, ChainSolution)> {
-    let (mut placement, _) = emod.placement_for(row)?;
-    if repair_capacity(network, loads, task.source(), task.sfc(), &mut placement).is_err() {
-        return None;
-    }
-    let w = *placement.last().expect("chain is non-empty");
-    let tree = match shared {
+) -> Option<SteinerTree> {
+    match shared {
         Some(cache) => match cache.lookup(w, task.destinations()) {
             Some(cached) => cached,
             None => {
@@ -321,13 +386,34 @@ fn evaluate_candidate<C: TreeCache>(
             .entry(w)
             .or_insert_with(|| build_tree(network, task, method, w, cancel))
             .clone(),
-    }?;
+    }
+}
+
+/// Evaluates one last-VNF candidate row without pruning: chain readout,
+/// capacity repair, Steiner tree, closed-form cost. Returns `None` when
+/// the row yields no feasible embedding.
+#[allow(clippy::too_many_arguments)]
+fn evaluate_candidate<C: TreeCache>(
+    network: &Network,
+    task: &MulticastTask,
+    method: SteinerMethod,
+    emod: &ExpandedMod,
+    loads: &LoadSnapshot,
+    local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
+    shared: Option<&C>,
+    cancel: Option<&CancelToken>,
+    row: usize,
+) -> Option<(f64, ChainSolution)> {
+    let Decoded {
+        placement, chain, ..
+    } = decode_row(network, task, emod, loads, row)?;
+    let w = *placement.last().expect("chain is non-empty");
+    let tree = tree_for(network, task, method, w, local, shared, cancel)?;
     // Stage-1 candidate cost has a closed form: every destination
     // shares the chain segments, so per-segment dedup leaves exactly
     // "chain path costs + deduped setups + Steiner tree cost".
-    let cost = chain_cost(network, task, &placement) + tree.cost;
     Some((
-        cost,
+        chain + tree.cost,
         ChainSolution {
             placement,
             steiner_edges: tree.edges,
@@ -637,6 +723,73 @@ mod tests {
             .find(|(c, _)| *c == min)
             .expect("min exists");
         assert_eq!(best.1.placement, winner.placement);
+    }
+
+    #[test]
+    fn the_bound_never_exceeds_a_rows_tree_cost() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb0);
+        let (mut rows, mut tight) = (0usize, 0usize);
+        for case in 0..400 {
+            // Fractional weights on a tree-plus-chords graph: many rows'
+            // best tree is one shortest path, where the bound is tight.
+            let n = rng.random_range(3..=9usize);
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.random_range(0..v);
+                let w = f64::from(rng.random_range(0..=40u32)) / 7.0;
+                g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+            }
+            for _ in 0..rng.random_range(0..n) {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v && g.find_edge(NodeId(u), NodeId(v)).is_none() {
+                    let w = f64::from(rng.random_range(1..=40u32)) / 3.0;
+                    g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                }
+            }
+            let net = Network::builder(g, VnfCatalog::uniform(2))
+                .all_servers(f64::from(rng.random_range(1..=2u32)))
+                .unwrap()
+                .uniform_setup_cost(0.5)
+                .unwrap()
+                .build()
+                .unwrap();
+            let mut dests: Vec<NodeId> = (1..n).map(NodeId).collect();
+            dests.truncate(rng.random_range(1..=3usize));
+            let stages: Vec<VnfId> = (0..rng.random_range(1..=3usize))
+                .map(|j| VnfId(j % 2))
+                .collect();
+            let task = MulticastTask::new(NodeId(0), dests, Sfc::new(stages).unwrap()).unwrap();
+            let emod = ExpandedMod::build(&net, task.source(), task.sfc()).unwrap();
+            let loads = LoadSnapshot::new(&net);
+            for method in [SteinerMethod::Kmb, SteinerMethod::Takahashi] {
+                let mut local = BTreeMap::new();
+                for row in 0..emod.servers().len() {
+                    let Some(decoded) = decode_row(&net, &task, &emod, &loads, row) else {
+                        continue;
+                    };
+                    let w = *decoded.placement.last().unwrap();
+                    let bound = lower_bound(&net, &task, decoded.chain, w, None).unwrap();
+                    let (cost, _) = evaluate_candidate(
+                        &net,
+                        &task,
+                        method,
+                        &emod,
+                        &loads,
+                        &mut local,
+                        None::<&SteinerCache>,
+                        None,
+                        row,
+                    )
+                    .unwrap();
+                    assert!(bound <= cost, "case {case} row {row}: {bound} > {cost}");
+                    rows += 1;
+                    tight += usize::from(cost - bound <= 1e-6 * cost.max(1.0));
+                }
+            }
+        }
+        assert!(rows > 1000 && tight * 10 > rows, "{tight} tight of {rows}");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! deployment indicator `π_{f,u}` for instances that already exist (whose
 //! reuse is free, §IV-D).
 
+use crate::api::RerouteTrees;
 use crate::vnf::{VnfCatalog, VnfId};
 use crate::CoreError;
 use sft_graph::numeric::exceeds;
@@ -168,6 +169,10 @@ pub struct Network {
     /// usage snaps back to exactly 0.0, so a fully drained link always
     /// reports its full capacity regardless of float rounding.
     edge_sessions: Vec<u32>,
+    /// The delay repair's per-(rung, server) trees. Like `dist`, it reads
+    /// only the graph, so clones share it and a bandwidth view (a
+    /// different graph) gets its own.
+    reroute: Arc<RerouteTrees>,
 }
 
 impl Network {
@@ -202,6 +207,11 @@ impl Network {
     /// first query; both answer identically.
     pub fn dist(&self) -> &dyn DistanceProvider {
         &*self.dist
+    }
+
+    /// The delay repair's memoized per-(rung, server) trees.
+    pub(crate) fn reroute_trees(&self) -> &RerouteTrees {
+        &self.reroute
     }
 
     /// The same provider as [`Network::dist`], shareable across threads.
@@ -388,6 +398,7 @@ impl Network {
             deployed: self.deployed.clone(),
             edge_used: vec![0.0; edge_count],
             edge_sessions: vec![0; edge_count],
+            reroute: Arc::new(RerouteTrees::new(self.servers().collect())),
         }))
     }
 
@@ -992,7 +1003,12 @@ impl NetworkBuilder {
             .map(|row| row.iter().map(|&d| u32::from(d)).collect())
             .collect();
         let edge_count = self.graph.edge_count();
+        let servers = (0..self.graph.node_count())
+            .filter(|&v| self.servers[v])
+            .map(NodeId)
+            .collect();
         Ok(Network {
+            reroute: Arc::new(RerouteTrees::new(servers)),
             graph: self.graph,
             dist,
             servers: self.servers,

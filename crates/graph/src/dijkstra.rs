@@ -204,6 +204,25 @@ impl Graph {
         })
     }
 
+    /// [`Graph::dijkstra`] under a caller-supplied per-edge weight (see
+    /// [`Graph::dijkstra_to_with`]). Every node the early-stopped search
+    /// would settle before `target` settles here in the same order with
+    /// the same predecessor, so `path_to(target)` agrees with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of bounds.
+    pub fn dijkstra_with<F>(&self, source: NodeId, weight: F) -> ShortestPaths
+    where
+        F: Fn(crate::EdgeId) -> f64,
+    {
+        dijkstra_core(self.node_count(), source, None, |u, visit| {
+            for (v, e) in self.neighbors(u) {
+                visit(v, weight(e));
+            }
+        })
+    }
+
     /// [`Graph::dijkstra_to`] under a caller-supplied per-edge weight —
     /// the hook for composite metrics such as the delay-aware
     /// `cost + λ·latency` relaxation. `weight` must return a finite,
@@ -307,6 +326,35 @@ mod tests {
         let early = g.dijkstra_to(NodeId(0), NodeId(3));
         assert_eq!(early.distance(NodeId(3)), full.distance(NodeId(3)));
         assert_eq!(early.path_to(NodeId(3)), full.path_to(NodeId(3)));
+    }
+
+    #[test]
+    fn a_full_tree_reads_every_early_stopped_path_ties_included() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..300 {
+            // Small integer weights, zeros included, make equal-distance
+            // paths common.
+            let n = rng.random_range(2..=9usize);
+            let mut g = Graph::new(n);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.random_range(0..2u32) == 0 {
+                        let w = f64::from(rng.random_range(0..=2u32));
+                        g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                    }
+                }
+            }
+            let metric = |e: crate::EdgeId| g.weight(e) + 0.25 * g.effective_latency(e);
+            for s in g.nodes() {
+                let full = g.dijkstra_with(s, metric);
+                for t in g.nodes() {
+                    let early = g.dijkstra_to_with(s, t, metric);
+                    assert_eq!(full.path_to(t), early.path_to(t), "{s:?} -> {t:?}");
+                }
+            }
+        }
     }
 
     #[test]

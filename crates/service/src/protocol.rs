@@ -149,7 +149,7 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn parse(message: impl Into<String>) -> Self {
+    pub(crate) fn parse(message: impl Into<String>) -> Self {
         WireError {
             code: ErrorCode::ParseError,
             message: message.into(),

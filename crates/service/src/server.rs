@@ -44,10 +44,10 @@
 
 use crate::admission::{AdmissionConfig, JobQueue};
 use crate::ledger::{CapacityLedger, CommitRecord, CommitRejection, LedgerSnapshot};
-use crate::protocol::{EmbedResponse, Request, RequestMode};
+use crate::protocol::{EmbedResponse, Request, RequestMode, WireError};
 use crate::service::{EmbedService, ServiceError};
 use sft_core::{CommitDelta, CoreError, MulticastTask, Network, SolveResult};
-use sft_graph::{CancelToken, Parallelism};
+use sft_graph::CancelToken;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -62,6 +62,11 @@ pub type Connection = (Box<dyn Read + Send>, Box<dyn Write + Send>);
 
 /// How often the accept loop re-checks the drain flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Longest request line the server reads, newline excluded (1 MiB). A
+/// longer line is answered `parse_error` and its connection closed, so
+/// a client that never sends a newline cannot grow server memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Configuration for [`serve`].
 #[derive(Copy, Clone, Debug)]
@@ -393,11 +398,8 @@ fn defrag_pass(shared: &Shared) -> DefragReport {
 
 /// Starts a server for `service` on `addr` (`host:port` or `unix:<path>`).
 ///
-/// Every request (and every defrag re-solve) runs its stage-1 sweep on
-/// one thread, whatever `service`'s [`sft_core::SolveOptions::parallelism`]
-/// says: the `workers` pool already spreads requests over the cores, and
-/// a sweep fanning out beneath it would only add thread start-up and
-/// contention (the same rule [`crate::BatchMode::Independent`] follows).
+/// Every request (and every defrag re-solve) is solved on the worker that
+/// popped it: the `workers` pool is the server's one fan-out level.
 ///
 /// # Errors
 ///
@@ -407,7 +409,7 @@ pub fn serve(service: EmbedService, addr: &str, config: ServerConfig) -> io::Res
     let local_addr = acceptor.local_addr();
     let shared = Arc::new(Shared {
         ledger: CapacityLedger::new(service.network()),
-        service: RwLock::new(service.with_parallelism(Parallelism::sequential())),
+        service: RwLock::new(service),
         queue: JobQueue::new(config.admission.queue_bound),
         draining: AtomicBool::new(false),
         drain: CancelToken::new(),
@@ -466,10 +468,42 @@ fn accept_loop(acceptor: &Acceptor, shared: &Arc<Shared>) {
 
 /// Parses lines off one connection, admits or rejects each request, and
 /// answers everything that never reaches the worker pool.
+///
+/// A request is a line ended by `\n`. A line longer than
+/// [`MAX_LINE_BYTES`] is answered `parse_error` and the connection is
+/// closed; a line that is not UTF-8 is answered `parse_error` and the
+/// next line is served; bytes after the last newline when the client
+/// closes are dropped unexecuted, so a commit cut off mid-line never
+/// lands.
 fn connection_loop(reader: Box<dyn Read + Send>, reply: Reply, shared: &Arc<Shared>) {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.last() != Some(&b'\n') {
+            // An over-long line, or an unterminated tail at EOF: neither
+            // is executed.
+            if buf.len() > MAX_LINE_BYTES {
+                let error =
+                    WireError::parse(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+                send(&reply, &EmbedResponse::wire_failure(None, error));
+            }
+            return;
+        }
+        buf.pop();
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            let error = WireError::parse("request line is not valid UTF-8");
+            if !send(&reply, &EmbedResponse::wire_failure(None, error)) {
+                return;
+            }
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -870,12 +904,16 @@ fn apply_solved(
     }
 }
 
-/// Writes one response line; returns whether the connection is still up.
+/// Writes one response line in a single write (one TCP segment under
+/// `TCP_NODELAY`); returns whether the connection is still up.
 fn send(reply: &Reply, response: &EmbedResponse) -> bool {
+    let mut line = response.to_json();
+    line.push('\n');
     // Poison recovery: a worker that panicked mid-write at worst left a
     // torn line on one client's connection, not corrupt server state.
     let mut writer = reply.lock().unwrap_or_else(PoisonError::into_inner);
-    writeln!(writer, "{}", response.to_json())
+    writer
+        .write_all(line.as_bytes())
         .and_then(|()| writer.flush())
         .is_ok()
 }
@@ -1575,5 +1613,122 @@ mod tests {
         assert_eq!(handle.stats().commits, 1);
         handle.shutdown();
         handle.join();
+    }
+
+    /// A writer that counts its `write` calls.
+    struct CountingWriter(Arc<AtomicU64>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_answer_is_one_write() {
+        let writes = Arc::new(AtomicU64::new(0));
+        let reply: Reply = Arc::new(Mutex::new(Box::new(CountingWriter(Arc::clone(&writes)))));
+        let parse = crate::protocol::parse_request("not json").unwrap_err();
+        assert!(send(&reply, &EmbedResponse::wire_failure(None, parse)));
+        assert_eq!(writes.load(Ordering::Relaxed), 1);
+        assert!(send(&reply, &EmbedResponse::draining(Some(4))));
+        assert_eq!(writes.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_closed_while_others_are_served() {
+        let (mut handle, addr) = start(3.0, ServerConfig::default());
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let answer = parse_response(line.trim_end()).unwrap();
+        assert!(
+            matches!(&answer.body, ResponseBody::Error(e) if e.code == ErrorCode::ParseError),
+            "{answer:?}"
+        );
+        // The server closed the connection: no further answer arrives.
+        let mut rest = String::new();
+        assert!(
+            !matches!(reader.read_line(&mut rest), Ok(n) if n > 0),
+            "{rest}"
+        );
+        sender.join().unwrap();
+        // Another connection is served as usual.
+        let responses = roundtrip(&addr, &[request(2, 0)]);
+        assert!(
+            matches!(responses[0].body, ResponseBody::Ok { .. }),
+            "{responses:?}"
+        );
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_refused_and_the_next_line_served() {
+        let (mut handle, addr) = start(3.0, ServerConfig::default());
+        let (reader, mut writer) = connect(&addr).unwrap();
+        writer.write_all(b"{\"source\":\xff\xfe}\n").unwrap();
+        writeln!(writer, "{}", request(5, 0)).unwrap();
+        let answers: Vec<_> = BufReader::new(reader)
+            .lines()
+            .take(2)
+            .map(|l| parse_response(&l.unwrap()).unwrap())
+            .collect();
+        assert!(
+            matches!(&answers[0].body, ResponseBody::Error(e) if e.code == ErrorCode::ParseError),
+            "{answers:?}"
+        );
+        assert_eq!(answers[1].id, Some(5));
+        assert!(
+            matches!(answers[1].body, ResponseBody::Ok { .. }),
+            "{answers:?}"
+        );
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn a_commit_cut_off_before_its_newline_never_lands() {
+        let (mut handle, addr) = start(3.0, ServerConfig::default());
+        let mut r = EmbedRequest::new(0, vec![3, 6], vec![0, 1]);
+        r.id = Some(1);
+        r.mode = Some(RequestMode::Commit);
+        // The client writes the whole commit but no newline, then closes
+        // its side; the server's answer (if any) ends the read.
+        assert_eq!(
+            answer_to_raw_then_close(&addr, r.to_json().into_bytes()),
+            None
+        );
+        assert!(handle.commit_log().is_empty());
+        let (now, seed) = (handle.network(), ring_network(10, 3.0));
+        assert_eq!(now.deployment_refcounts(), seed.deployment_refcounts());
+        assert_eq!(now.edge_usage(), seed.edge_usage());
+        for v in seed.servers() {
+            assert_eq!(now.residual_capacity(v), seed.residual_capacity(v));
+        }
+        assert_eq!(handle.stats().commits, 0);
+        handle.shutdown();
+        handle.join();
+    }
+
+    /// Writes `bytes`, half-closes, and returns whatever the server
+    /// answers before it closes the connection (`None` for nothing).
+    fn answer_to_raw_then_close(addr: &str, bytes: Vec<u8>) -> Option<String> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&bytes).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        (!out.is_empty()).then_some(out)
     }
 }

@@ -6,7 +6,7 @@ use sft_core::{
     solve_with_cache, CoreError, MulticastTask, Network, SolveOptions, SolveResult, Strategy,
 };
 use sft_graph::parallel::run_partitioned;
-use sft_graph::{Parallelism, SteinerCache, TreeCache};
+use sft_graph::{SteinerCache, TreeCache};
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -295,12 +295,6 @@ impl EmbedService {
         self
     }
 
-    /// Runs every later solve's stage-1 sweep under `parallelism`.
-    pub(crate) fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.parallelism = parallelism;
-        self
-    }
-
     /// A service with the default strategy (MSA) and options (OPA, all
     /// cores).
     pub fn with_defaults(network: Network) -> Self {
@@ -441,15 +435,12 @@ impl EmbedService {
         let network = &self.network;
         let cache = &self.cache;
         let strategy = self.strategy;
-        let inner = self
-            .options
-            .clone()
-            .with_parallelism(Parallelism::sequential());
+        let options = &self.options;
         let chunks = run_partitioned(self.options.parallelism, tasks.len(), |range| {
             range
                 .map(|i| {
                     let start = Instant::now();
-                    let r = solve_with_cache(network, &tasks[i], strategy, inner.clone(), cache);
+                    let r = solve_with_cache(network, &tasks[i], strategy, options.clone(), cache);
                     (r, start.elapsed().as_nanos() as u64)
                 })
                 .collect::<Vec<_>>()
@@ -549,7 +540,7 @@ impl EmbedService {
 mod tests {
     use super::*;
     use sft_core::{solve_with_options, SequentialEmbedder, Sfc, VnfCatalog, VnfId};
-    use sft_graph::{Graph, NodeId};
+    use sft_graph::{Graph, NodeId, Parallelism};
 
     fn ring_network(n: usize, capacity: f64) -> Network {
         let mut g = Graph::new(n);

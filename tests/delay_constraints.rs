@@ -8,7 +8,9 @@
 //! * a structurally infeasible budget is refused with the structured
 //!   `delay_infeasible` taxonomy code and leaves the network and its
 //!   ledger byte-identical;
-//! * the exact ILP and the heuristic agree on feasibility verdicts.
+//! * the exact ILP and the heuristic agree on feasibility verdicts;
+//! * the repair's memoized per-rung trees reproduce the per-segment
+//!   search they replaced, answer for answer.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,10 +18,10 @@ use rand::{RngExt, SeedableRng};
 use sft::core::ilp::IlpModel;
 use sft::core::validate::validate;
 use sft::core::{
-    solve_with_options, CoreError, DistanceMode, MulticastTask, Network, Sfc, SolveOptions,
-    Strategy, VnfCatalog, VnfId,
+    solve_with_options, CoreError, DestinationRoute, DistanceMode, Embedding, MulticastTask,
+    Network, Sfc, SolveOptions, Strategy, VnfCatalog, VnfId,
 };
-use sft::graph::{generate, Graph, NodeId};
+use sft::graph::{approx_le, generate, EdgeId, Graph, NodeId};
 use sft::lp::{MipConfig, MipStatus};
 use sft::service::{EmbedService, ErrorCode, ServiceError};
 
@@ -231,4 +233,234 @@ fn exact_and_heuristic_agree_on_palmetto10_feasibility() {
             assert_eq!(outcome.status, MipStatus::Infeasible);
         }
     }
+}
+
+/// The λ ladder of the delay repair.
+const LADDER: &[f64] = &[0.0, 0.25, 1.0, 4.0, 16.0];
+
+fn oracle_delay(graph: &Graph, route: &DestinationRoute) -> f64 {
+    route
+        .segments()
+        .iter()
+        .map(|seg| graph.path_latency(seg).unwrap())
+        .sum()
+}
+
+fn oracle_reroute(
+    graph: &Graph,
+    endpoints: &[(NodeId, NodeId)],
+    weight: impl Fn(EdgeId) -> f64,
+) -> Option<DestinationRoute> {
+    let mut segments = Vec::new();
+    for &(a, b) in endpoints {
+        segments.push(graph.dijkstra_to_with(a, b, &weight).path_to(b)?);
+    }
+    Some(DestinationRoute::new(segments))
+}
+
+/// The delay repair as it was before its trees were memoized, kept as the
+/// oracle: every late route reroutes each segment between its fixed
+/// endpoints with an early-stopped search per λ rung, then under latency
+/// alone, which certifies a refusal.
+fn oracle_repair(
+    network: &Network,
+    task: &MulticastTask,
+    embedding: &Embedding,
+    budget: f64,
+) -> Result<(Embedding, f64), CoreError> {
+    let graph = network.graph();
+    let mut routes = embedding.routes().to_vec();
+    let mut max_delay = 0.0f64;
+    for (i, route) in routes.iter_mut().enumerate() {
+        let delay = oracle_delay(graph, route);
+        if approx_le(delay, budget) {
+            max_delay = max_delay.max(delay);
+            continue;
+        }
+        let endpoints: Vec<(NodeId, NodeId)> = route
+            .segments()
+            .iter()
+            .map(|seg| (seg[0], *seg.last().unwrap()))
+            .collect();
+        let mut repaired = None;
+        for &lambda in LADDER {
+            let weight = |e| graph.weight(e) + lambda * graph.effective_latency(e);
+            if let Some(candidate) = oracle_reroute(graph, &endpoints, weight) {
+                let delay = oracle_delay(graph, &candidate);
+                if approx_le(delay, budget) {
+                    repaired = Some((candidate, delay));
+                    break;
+                }
+            }
+        }
+        let (candidate, delay) = match repaired {
+            Some(found) => found,
+            None => {
+                let Some(candidate) =
+                    oracle_reroute(graph, &endpoints, |e| graph.effective_latency(e))
+                else {
+                    return Err(CoreError::Infeasible {
+                        reason: "unreachable during delay repair".into(),
+                    });
+                };
+                let delay = oracle_delay(graph, &candidate);
+                if !approx_le(delay, budget) {
+                    return Err(CoreError::DelayInfeasible {
+                        destination: task.destinations()[i].0,
+                        achieved: delay,
+                        budget,
+                    });
+                }
+                (candidate, delay)
+            }
+        };
+        *route = candidate;
+        max_delay = max_delay.max(delay);
+    }
+    Ok((Embedding::new(routes), max_delay))
+}
+
+/// A Waxman network with about half its nodes servers. `latency` `None`
+/// draws each edge's latency from `(0.1, 1.1)`; `Some(l)` gives every
+/// edge latency `l`, so equal-delay paths are common.
+fn repair_network(n: usize, seed: u64, latency: Option<f64>) -> Network {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let alpha = (2.0 * (n as f64).ln() / (4.0 * std::f64::consts::PI * 0.4 * n as f64)).sqrt();
+    let mut g = generate::waxman(n, alpha, 0.4, 100.0, &mut rng)
+        .unwrap()
+        .graph;
+    for e in g.edge_ids().collect::<Vec<_>>() {
+        let l = latency.unwrap_or_else(|| 0.1 + rng.random::<f64>());
+        g.set_edge_latency(e, Some(l)).unwrap();
+    }
+    let mut b = Network::builder(g, VnfCatalog::uniform(3)).distance_mode(DistanceMode::Lazy);
+    for v in 0..n {
+        if rng.random_range(0..2u32) == 0 {
+            b = b.server(NodeId(v), 3.0).unwrap();
+        }
+    }
+    b.uniform_setup_cost(1.0).unwrap().build().unwrap()
+}
+
+/// What the delay repair did to one task.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Outcome {
+    /// Unsolvable with or without a budget, or on time as solved.
+    Kept,
+    /// Some route was rerouted onto a faster path.
+    Repaired,
+    /// Refused: even the latency-only rung is late.
+    Refused,
+}
+
+/// Checks `solve` against the oracle repair of the same task's
+/// unbudgeted solve, under a budget of `tightness` times that solve's
+/// largest route delay.
+fn memo_matches_oracle(network: &Network, task: &MulticastTask, tightness: f64) -> Outcome {
+    let opts = SolveOptions::default;
+    let plain = match solve_with_options(network, task, Strategy::Msa, opts()) {
+        Ok(plain) => plain,
+        Err(e) => {
+            let budgeted = task.clone().with_delay_budget(1.0).unwrap();
+            let got = solve_with_options(network, &budgeted, Strategy::Msa, opts());
+            assert_eq!(format!("{:?}", got.unwrap_err()), format!("{e:?}"));
+            return Outcome::Kept;
+        }
+    };
+    let graph = network.graph();
+    let late = plain
+        .embedding
+        .routes()
+        .iter()
+        .map(|r| oracle_delay(graph, r));
+    let budget = tightness * late.fold(0.0, f64::max);
+    let budgeted = task.clone().with_delay_budget(budget).unwrap();
+    let got = solve_with_options(network, &budgeted, Strategy::Msa, opts());
+    let want = oracle_repair(network, task, &plain.embedding, budget);
+    match (got, want) {
+        (Ok(got), Ok((embedding, delay))) => {
+            assert_eq!(got.embedding, embedding);
+            assert_eq!(got.max_path_delay.map(f64::to_bits), Some(delay.to_bits()));
+            if got.embedding == plain.embedding {
+                Outcome::Kept
+            } else {
+                Outcome::Repaired
+            }
+        }
+        (
+            Err(CoreError::DelayInfeasible {
+                destination,
+                achieved,
+                budget: b,
+            }),
+            Err(CoreError::DelayInfeasible {
+                destination: want_destination,
+                achieved: want_achieved,
+                budget: want_budget,
+            }),
+        ) => {
+            assert_eq!(destination, want_destination);
+            assert_eq!(achieved.to_bits(), want_achieved.to_bits());
+            assert_eq!(b.to_bits(), want_budget.to_bits());
+            Outcome::Refused
+        }
+        (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => Outcome::Refused,
+        (got, want) => panic!("memoized {got:?} vs oracle {want:?}"),
+    }
+}
+
+/// Random tasks, each with a budget tightness in `[0.4, 1.1)`.
+fn repair_tasks(n: usize, seed: u64, count: usize) -> Vec<(MulticastTask, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7A5C);
+    (0..count)
+        .map(|_| {
+            let source = rng.random_range(0..n);
+            let mut dests: Vec<NodeId> = Vec::new();
+            while dests.len() < rng.random_range(1..=4usize) {
+                let d = NodeId(rng.random_range(0..n));
+                if d.0 != source && !dests.contains(&d) {
+                    dests.push(d);
+                }
+            }
+            let sfc = Sfc::new(
+                (0..rng.random_range(1..=3usize))
+                    .map(VnfId)
+                    .collect::<Vec<_>>(),
+            );
+            let task = MulticastTask::new(NodeId(source), dests, sfc.unwrap()).unwrap();
+            (task, rng.random_range(0.4..1.1))
+        })
+        .collect()
+}
+
+#[test]
+fn memoized_rung_trees_reproduce_the_per_segment_repair() {
+    let mut outcomes = Vec::new();
+    for (i, latency) in [None, Some(1.0), None, Some(2.0)].into_iter().enumerate() {
+        let n = 40 + 10 * i;
+        let seed = 11 + i as u64;
+        let network = repair_network(n, seed, latency);
+        // One network for every task, so later tasks read filled slots.
+        for (task, tightness) in repair_tasks(n, seed, 60) {
+            outcomes.push(memo_matches_oracle(&network, &task, tightness));
+        }
+        // Clones share the table: three threads race to fill and read it.
+        let fresh = repair_network(n, seed, latency);
+        std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let network = fresh.clone();
+                scope.spawn(move || {
+                    for (task, tightness) in repair_tasks(n, seed + t % 2, 40) {
+                        memo_matches_oracle(&network, &task, tightness);
+                    }
+                });
+            }
+        });
+    }
+    let count = |o| outcomes.iter().filter(|&&x| x == o).count();
+    let (repaired, refused) = (count(Outcome::Repaired), count(Outcome::Refused));
+    assert!(
+        repaired >= 30 && refused >= 30,
+        "{repaired} repaired, {refused} refused"
+    );
 }

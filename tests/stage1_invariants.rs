@@ -9,13 +9,21 @@
 //! 3. The layered DP that prices every chain (Theorem 2) decodes, row by
 //!    row, the same placement and bit-identical cost as a heap Dijkstra
 //!    over the materialized expanded MOD network, ties included.
+//! 4. The bound-and-prune sweep returns the exhaustive sweep's lowest-row
+//!    minimum — placement, Steiner edges and cost bits — with and without
+//!    a shared Steiner cache, cold or warm.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sft::core::mod_network::ExpandedMod;
-use sft::core::msa::{stage_one_candidates, stage_one_with_options, SteinerMethod};
-use sft::core::{delivery_cost, Network, Parallelism, Sfc, VnfCatalog, VnfId};
-use sft::graph::{Graph, NodeId};
+use sft::core::msa::{
+    stage_one_candidates, stage_one_with_cache, stage_one_with_options, SteinerMethod,
+};
+use sft::core::{
+    delivery_cost, ChainSolution, CoreError, MulticastTask, Network, Parallelism, Sfc, VnfCatalog,
+    VnfId,
+};
+use sft::graph::{Graph, NodeId, SteinerCache};
 use sft::topology::{generate, ScenarioConfig};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -245,4 +253,131 @@ fn layered_dp_matches_the_overlay_dijkstra_row_by_row() {
     // The draw must exercise the tie rule and the unreachable rows.
     assert!(tied * 5 >= reached, "{tied} tied of {reached} reached rows");
     assert!(reached < rows, "some rows must be unreachable");
+}
+
+/// A random network of 3 to 9 nodes with integer edge weights and setup
+/// costs (so candidate costs tie), switches, pre-deployed instances and
+/// server capacities of 1 to 3 unit instances, so that chains of up to
+/// four stages often need capacity repair.
+fn tight_network(rng: &mut StdRng) -> Network {
+    const TYPES: usize = 3;
+    let n = rng.random_range(3..=9usize);
+    let mut g = Graph::new(n);
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.random_range(0..2u32) == 0 {
+                let w = f64::from(rng.random_range(0..=3u32));
+                g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+            }
+        }
+    }
+    let mut b = Network::builder(g, VnfCatalog::uniform(TYPES));
+    let mut room = vec![0u32; n];
+    for (v, slots) in room.iter_mut().enumerate() {
+        if v == 0 || rng.random_range(0..4u32) > 0 {
+            *slots = rng.random_range(1..=3u32);
+            b = b.server(NodeId(v), f64::from(*slots)).unwrap();
+        }
+    }
+    for f in 0..TYPES {
+        for (v, slots) in room.iter_mut().enumerate() {
+            let cost = f64::from(rng.random_range(0..=3u32));
+            b = b.setup_cost(VnfId(f), NodeId(v), cost).unwrap();
+            if *slots > 0 && rng.random_range(0..6u32) == 0 {
+                *slots -= 1;
+                b = b.deploy(VnfId(f), NodeId(v)).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The exhaustive sweep's answer: the first candidate in row order with
+/// the minimum cost, with that cost.
+fn lowest_row_minimum(candidates: &[(f64, ChainSolution)]) -> Option<(f64, &ChainSolution)> {
+    let mut best: Option<(f64, &ChainSolution)> = None;
+    for (cost, chain) in candidates {
+        if best.is_none_or(|(b, _)| *cost < b) {
+            best = Some((*cost, chain));
+        }
+    }
+    best
+}
+
+#[test]
+fn pruned_sweep_returns_the_exhaustive_lowest_row_minimum() {
+    let mut rng = StdRng::seed_from_u64(0x9e1);
+    let (mut solved, mut tied, mut candidates_seen, mut cold_misses) = (0, 0, 0u64, 0u64);
+    for case in 0..2500 {
+        let network = tight_network(&mut rng);
+        let n = network.node_count();
+        // One warm cache per method, shared by this network's tasks.
+        let warm = [SteinerCache::new(), SteinerCache::new()];
+        for _ in 0..2 {
+            let source = NodeId(rng.random_range(0..n));
+            let mut others: Vec<NodeId> = (0..n).map(NodeId).filter(|&v| v != source).collect();
+            let mut dests = Vec::new();
+            for _ in 0..rng.random_range(1..=5usize).min(others.len()) {
+                dests.push(others.swap_remove(rng.random_range(0..others.len())));
+            }
+            let k = rng.random_range(1..=4usize);
+            let stages: Vec<VnfId> = (0..k).map(|_| VnfId(rng.random_range(0..3usize))).collect();
+            let task = MulticastTask::new(source, dests, Sfc::new(stages).unwrap()).unwrap();
+            for (method, warm) in [SteinerMethod::Kmb, SteinerMethod::Takahashi]
+                .into_iter()
+                .zip(&warm)
+            {
+                let candidates = match stage_one_candidates(&network, &task, method) {
+                    Ok(candidates) => candidates,
+                    Err(e) => {
+                        // Rejected up front (a destination the source
+                        // cannot reach): the sweep rejects it the same way.
+                        let got =
+                            stage_one_with_options(&network, &task, method, Parallelism::auto());
+                        assert_eq!(format!("{got:?}"), format!("{:?}", Err::<(), _>(e)));
+                        continue;
+                    }
+                };
+                let want = lowest_row_minimum(&candidates);
+                candidates_seen += candidates.len() as u64;
+                if let Some((min, chain)) = want {
+                    let ties = candidates
+                        .iter()
+                        .filter(|(c, other)| *c == min && other != chain)
+                        .count();
+                    tied += usize::from(ties > 0);
+                    solved += 1;
+                }
+                let cold = SteinerCache::new();
+                let got = [
+                    stage_one_with_options(&network, &task, method, Parallelism::sequential()),
+                    stage_one_with_cache(&network, &task, method, Parallelism::new(2), &cold),
+                    stage_one_with_cache(&network, &task, method, Parallelism::auto(), warm),
+                    stage_one_with_cache(&network, &task, method, Parallelism::auto(), warm),
+                ];
+                cold_misses += cold.misses();
+                for (flavor, got) in got.into_iter().enumerate() {
+                    let at = format!("case {case} ({method:?}, k = {k}) flavor {flavor}");
+                    match (want, got) {
+                        (Some((min, chain)), Ok(got)) => {
+                            assert_eq!(&got, chain, "{at}");
+                            // Every candidate with this placement and tree
+                            // prices the same bits as the minimum.
+                            let cost = candidates.iter().find(|(_, c)| *c == got).unwrap().0;
+                            assert_eq!(cost.to_bits(), min.to_bits(), "{at}");
+                        }
+                        (None, Err(CoreError::Infeasible { .. })) => {}
+                        (want, got) => panic!("{at}: want {want:?}, got {got:?}"),
+                    }
+                }
+            }
+        }
+    }
+    // The draw must exercise equal-cost winners, and pruning must skip
+    // trees the exhaustive sweep builds.
+    assert!(tied * 10 >= solved, "{tied} tied of {solved} solved");
+    assert!(
+        cold_misses * 10 < candidates_seen * 9,
+        "{cold_misses} cold trees for {candidates_seen} candidates"
+    );
 }

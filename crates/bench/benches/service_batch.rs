@@ -1,8 +1,8 @@
 //! Batch service vs one-shot solving on a shared Palmetto workload.
 //!
-//! The service amortises two things across a task stream: the APSP
-//! matrix (built once with the network instead of once per `Network`
-//! construction per task) and the Steiner trees of recurring multicast
+//! The service amortises two things across a task stream: the distance
+//! rows (each computed once per source for the shared network) and the
+//! Steiner trees of recurring multicast
 //! groups (persistent cache). This bench serves the same 20-task stream
 //!
 //! * `oneshot`  — a fresh `solve_with_options` per task, no shared cache;

@@ -1,30 +1,29 @@
 //! Distance-layer scaling: quote latency and resident distance rows on
-//! Waxman WANs at 1k / 10k / 50k nodes with the lazy CSR provider.
+//! Waxman WANs at 1k / 10k / 50k nodes.
 //!
-//! The point of the lazy [`sft_core::DistanceProvider`] is that a quote
-//! on a 50 000-node substrate touches only the rows the solve actually
-//! needs (servers, source, destinations) — a few dozen Dijkstra runs —
-//! instead of precomputing an `n x n` matrix that would not even fit in
-//! memory. Besides the console report this bench writes
+//! The point of the on-demand [`sft_core::LazyDistances`] engine is that
+//! a quote on a 50 000-node substrate touches only the rows the solve
+//! actually needs (servers, source, destinations) — a few dozen Dijkstra
+//! runs — instead of precomputing an `n x n` matrix that would not even
+//! fit in memory. Besides the console report this bench writes
 //! `BENCH_scale.json` at the workspace root recording, per size, the
-//! median quote latency and the provider's resident/peak row counts and
-//! row hit/miss totals, so the "O(rows used), not O(n^2)" claim is tied
-//! to measured numbers.
+//! median quote latency and the engine's resident/peak row counts and
+//! row misses, so the "O(rows used), not O(n^2)" claim is tied to
+//! measured numbers.
 
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sft_core::{
-    solve_with_options, DistanceMode, MulticastTask, Network, Sfc, SolveOptions, Strategy,
-    VnfCatalog, VnfId,
+    solve_with_options, MulticastTask, Network, Sfc, SolveOptions, Strategy, VnfCatalog, VnfId,
 };
 use sft_graph::{generate, NodeId};
 use std::hint::black_box;
 use std::io::Write;
 
 /// Server nodes per substrate — NFV points-of-presence are a small,
-/// fixed-size subset of a WAN, which is exactly what keeps the lazy
-/// provider's working set independent of `n`.
+/// fixed-size subset of a WAN, which is exactly what keeps the distance
+/// engine's working set independent of `n`.
 const SERVERS: usize = 32;
 
 /// Substrate sizes measured for the committed report. `cargo test` runs
@@ -51,8 +50,7 @@ fn waxman_network(n: usize) -> Network {
         .expect("waxman parameters are valid")
         .graph;
     let stride = n / SERVERS;
-    let mut builder =
-        Network::builder(graph, VnfCatalog::uniform(3)).distance_mode(DistanceMode::Lazy);
+    let mut builder = Network::builder(graph, VnfCatalog::uniform(3));
     for i in 0..SERVERS {
         builder = builder
             .server(NodeId(i * stride), 8.0)
@@ -62,7 +60,7 @@ fn waxman_network(n: usize) -> Network {
         .uniform_setup_cost(2.0)
         .expect("setup cost is valid")
         .build()
-        .expect("lazy build performs no APSP and cannot fail on a connected graph")
+        .expect("the build computes no shortest paths and cannot fail on a connected graph")
 }
 
 fn task_for(n: usize) -> MulticastTask {
@@ -82,7 +80,6 @@ struct ScalePoint {
     edges: usize,
     rows_resident: u64,
     rows_peak: u64,
-    row_hits: u64,
     row_misses: u64,
 }
 
@@ -108,7 +105,6 @@ fn bench_quote_scaling(c: &mut Criterion) -> Vec<ScalePoint> {
             edges: network.graph().edge_count(),
             rows_resident: dist.rows_materialized(),
             rows_peak: dist.peak_rows(),
-            row_hits: dist.row_hits(),
             row_misses: dist.row_misses(),
         });
     }
@@ -127,13 +123,12 @@ fn write_report(c: &Criterion, points: &[ScalePoint]) {
             continue; // test-mode run: nothing measured
         };
         entries.push(format!(
-            "    {{ \"nodes\": {}, \"edges\": {}, \"servers\": {SERVERS}, \"quote_median_ms\": {:.3}, \"rows_resident\": {}, \"rows_peak\": {}, \"row_hits\": {}, \"row_misses\": {} }}",
+            "    {{ \"nodes\": {}, \"edges\": {}, \"servers\": {SERVERS}, \"quote_median_ms\": {:.3}, \"rows_resident\": {}, \"rows_peak\": {}, \"row_misses\": {} }}",
             p.n,
             p.edges,
             s.median_ns / 1e6,
             p.rows_resident,
             p.rows_peak,
-            p.row_hits,
             p.row_misses
         ));
     }

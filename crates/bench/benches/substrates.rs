@@ -22,28 +22,12 @@ fn bench_dijkstra(c: &mut Criterion) {
     });
 }
 
-fn bench_floyd(c: &mut Criterion) {
-    let g = er(100, 2);
-    let mut group = c.benchmark_group("graph/apsp_100");
-    group.bench_function("floyd_warshall", |b| {
-        b.iter(|| black_box(g.all_pairs_shortest_paths().unwrap()))
-    });
-    group.bench_function("n_dijkstras", |b| {
-        b.iter(|| black_box(g.all_pairs_shortest_paths_sparse().unwrap()))
-    });
-    group.finish();
-}
-
 fn bench_steiner(c: &mut Criterion) {
     let g = er(100, 3);
-    let dist = g.all_pairs_shortest_paths().unwrap();
     let terminals: Vec<NodeId> = (0..12).map(|i| NodeId(i * 7 % 100)).collect();
     let mut group = c.benchmark_group("graph/steiner_100n_12t");
     group.bench_function("kmb", |b| {
         b.iter(|| black_box(g.steiner_kmb(&terminals).unwrap()))
-    });
-    group.bench_function("kmb_with_matrix", |b| {
-        b.iter(|| black_box(g.steiner_kmb_with_matrix(&dist, &terminals).unwrap()))
     });
     group.bench_function("takahashi", |b| {
         b.iter(|| black_box(g.steiner_takahashi(&terminals).unwrap()))
@@ -116,7 +100,6 @@ fn bench_mip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dijkstra,
-    bench_floyd,
     bench_steiner,
     bench_mst,
     bench_simplex,

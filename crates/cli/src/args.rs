@@ -8,7 +8,7 @@ pub const USAGE: &str = "\
 sft — service function tree embedding for NFV multicast
 
 USAGE:
-  sft <info|solve|exact|batch|serve|client|workload|help> [--flag value]...
+  sft <info|solve|exact|batch|serve|client|workload|help> [--<flag> <value>]...
 
 TOPOLOGIES (--topology):
   palmetto          the 45-node Palmetto backbone
@@ -38,12 +38,6 @@ COMMON FLAGS:
   --servers <n>         number of stride-spaced NFV server nodes
                         (default 0 = every node is a server)
   --setup-cost <f64>    uniform VNF setup cost (default 1)
-  --distances <auto|dense|lazy>
-                        distance backend: dense = precompute the full
-                        APSP matrix, lazy = CSR-backed per-source rows
-                        computed on demand (memory O(rows used), the
-                        only option that scales past ~10k nodes), auto
-                        = lazy above 1024 nodes (default auto)
 
 SOLVE / EXACT FLAGS:
   --source <node>       source node index (required)
@@ -69,8 +63,9 @@ SOLVE / EXACT FLAGS:
                         sparse revised simplex, or size-based choice
                         (default auto)
 
-BATCH / SERVE FLAGS (long-running service; APSP built once, shared
-Steiner cache; requests are versioned JSONL lines, see docs/service.md:
+BATCH / SERVE FLAGS (long-running service; shortest-path rows computed
+once per source on demand, shared Steiner cache; requests are
+versioned JSONL lines, see docs/service.md:
   {\"v\": 1, \"id\": 7, \"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}):
   --tasks <file.jsonl>  (batch/client) the task stream to solve (required)
   --mode <sequential|independent>
@@ -164,15 +159,58 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 3] = ["no-opa", "quick", "stats"];
+const BOOLEAN_FLAGS: [&str; 2] = ["no-opa", "stats"];
+
+/// Every flag some subcommand reads, [`BOOLEAN_FLAGS`] included; any other
+/// `--name` is a parse error, so a misspelled or retired flag is never
+/// silently ignored.
+const KNOWN_FLAGS: [&str; 37] = [
+    "arrivals",
+    "bandwidth",
+    "cache-cap",
+    "capacity",
+    "commit-retries",
+    "connect",
+    "count",
+    "deadline-ms",
+    "default-mode",
+    "defrag-every-ms",
+    "delay-budget",
+    "dests",
+    "dot",
+    "hold",
+    "holding",
+    "link-bw",
+    "link-latency",
+    "listen",
+    "lp-backend",
+    "max-nodes",
+    "mode",
+    "no-opa",
+    "queue-bound",
+    "rate",
+    "seed",
+    "servers",
+    "setup-cost",
+    "sfc",
+    "sft-dot",
+    "source",
+    "stats",
+    "strategy",
+    "tasks",
+    "threads",
+    "time-limit",
+    "topology",
+    "workers",
+];
 
 impl Args {
     /// Parses pre-split arguments (without the program name).
     ///
     /// # Errors
     ///
-    /// [`ParseError`] on missing subcommand, malformed flags, or missing
-    /// flag values.
+    /// [`ParseError`] on missing subcommand, malformed or unknown flags,
+    /// or missing flag values.
     pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
         let mut it = argv.iter();
         let command = it
@@ -188,6 +226,9 @@ impl Args {
             };
             if name.is_empty() {
                 return Err(ParseError("empty flag name".into()));
+            }
+            if !KNOWN_FLAGS.contains(&name) {
+                return Err(ParseError(format!("unknown flag --{name}")));
             }
             if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "true".into());
@@ -266,7 +307,32 @@ mod tests {
         assert_eq!(a.get("topology"), Some("er:50"));
         assert_eq!(a.parse_or("seed", 0u64).unwrap(), 7);
         assert!(a.flag("no-opa"));
-        assert!(!a.flag("quick"));
+        assert!(!a.flag("stats"));
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_known_flags() {
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|flag| !flag.is_empty())
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut known = KNOWN_FLAGS.to_vec();
+        known.sort_unstable();
+        assert_eq!(documented, known);
+        for flag in BOOLEAN_FLAGS {
+            assert!(KNOWN_FLAGS.contains(&flag), "{flag}");
+        }
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_errors() {
+        assert!(Args::parse(&argv("solve --distances lazy")).is_err());
+        assert!(Args::parse(&argv("solve --thredas 4")).is_err());
+        assert!(Args::parse(&argv("solve --no-such-flag 7")).is_err());
+        assert!(Args::parse(&argv("solve --threads 4")).is_ok());
     }
 
     #[test]

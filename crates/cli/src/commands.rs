@@ -6,10 +6,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sft_core::ilp::IlpModel;
 use sft_core::{
-    solve_with_rng, solve_with_rng_options, viz, DistanceMode, MulticastTask, Network, Parallelism,
-    Sfc, SftTree, SolveOptions, StageTwo, Strategy, VnfCatalog, VnfId,
+    solve_with_rng, solve_with_rng_options, viz, MulticastTask, Network, Parallelism, Sfc, SftTree,
+    SolveOptions, StageTwo, Strategy, VnfCatalog, VnfId,
 };
-use sft_graph::NodeId;
+use sft_graph::{LazyDistances, NodeId};
 use sft_lp::{BackendChoice, MipConfig};
 use sft_service::protocol::{self, EmbedResponse, Request, RequestMode};
 use sft_service::{AdmissionConfig, BatchMode, EmbedService, ServerConfig, ServiceError};
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 /// Builds the physical network every subcommand operates on — the one
 /// place the `--topology`/`--capacity`/`--setup-cost`/`--sfc`/
-/// `--distances` flags are interpreted. Returns the network and the
+/// `--servers` flags are interpreted. Returns the network and the
 /// catalog size `k`.
 fn build_network(args: &Args) -> Result<(Network, usize), ParseError> {
     let seed: u64 = args.parse_or("seed", 0)?;
@@ -47,21 +47,20 @@ fn build_network(args: &Args) -> Result<(Network, usize), ParseError> {
     }
     let capacity: f64 = args.parse_or("capacity", 3.0)?;
     let setup_cost: f64 = args.parse_or("setup-cost", 1.0)?;
-    let distances: DistanceMode = args.parse_or("distances", DistanceMode::Auto)?;
     let servers: usize = args.parse_or("servers", 0)?;
     let k: usize = args.parse_or("sfc", 3)?;
     if k == 0 {
         return Err(ParseError("--sfc must be at least 1".into()));
     }
     let n = graph.node_count();
-    let mut builder = Network::builder(graph, VnfCatalog::uniform(k)).distance_mode(distances);
+    let mut builder = Network::builder(graph, VnfCatalog::uniform(k));
     builder = if servers == 0 || servers >= n {
         builder
             .all_servers(capacity)
             .map_err(|e| ParseError(e.to_string()))?
     } else {
         // Stride-spaced NFV points-of-presence: a small server subset is
-        // what keeps the lazy provider's working set independent of `n`.
+        // what keeps the distance engine's working set independent of `n`.
         let stride = n / servers;
         for i in 0..servers {
             builder = builder
@@ -112,11 +111,9 @@ fn setup(args: &Args) -> Result<(Network, MulticastTask), ParseError> {
 pub fn info(args: &Args) -> Result<String, ParseError> {
     let seed: u64 = args.parse_or("seed", 0)?;
     let graph = topology_spec::build(args.require("topology")?, seed)?;
-    // The provider keeps `info` viable at scale: in lazy (or auto-lazy)
-    // mode the distance aggregates stream one Dijkstra row at a time
-    // instead of allocating an n x n matrix.
-    let distances: DistanceMode = args.parse_or("distances", DistanceMode::Auto)?;
-    let dist = sft_graph::provider_for(&graph, distances).map_err(|e| ParseError(e.to_string()))?;
+    // The aggregates stream one Dijkstra row at a time, so `info` stays
+    // viable at scale without an n x n matrix.
+    let dist = LazyDistances::new(&graph);
     let mut out = String::new();
     let _ = writeln!(out, "nodes      : {}", graph.node_count());
     let _ = writeln!(out, "edges      : {}", graph.edge_count());
@@ -129,7 +126,6 @@ pub fn info(args: &Args) -> Result<String, ParseError> {
         degrees.iter().max().unwrap_or(&0)
     );
     let _ = writeln!(out, "connected  : {}", graph.is_connected());
-    let _ = writeln!(out, "distances  : {} provider", dist.kind());
     let _ = writeln!(out, "avg dist   : {:.2} (l_G)", dist.average_distance());
     let _ = writeln!(out, "diameter   : {:.2}", dist.diameter());
     Ok(out)
@@ -850,49 +846,30 @@ mod tests {
         let out = run("info --topology palmetto").unwrap();
         assert!(out.contains("nodes      : 45"));
         assert!(out.contains("connected  : true"));
-        assert!(out.contains("distances  : dense provider"), "{out}");
+        assert!(out.contains("avg dist   : "), "{out}");
     }
 
-    /// The distance backend is an implementation detail: every mode
-    /// reports identical aggregates (`info`) and identical embeddings
-    /// (`solve`), differing only in memory shape.
+    /// One solve runs on one thread: `--threads` changes nothing but the
+    /// runtime line, on generated and committed topologies alike.
     #[test]
-    fn distance_modes_agree_and_bad_ones_are_rejected() {
-        let dense = run("info --topology waxman:40 --seed 2 --distances dense").unwrap();
-        let lazy = run("info --topology waxman:40 --seed 2 --distances lazy").unwrap();
-        assert!(lazy.contains("distances  : lazy provider"), "{lazy}");
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("distances"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&dense), strip(&lazy));
-
+    fn solve_output_is_thread_count_invariant() {
         let strip = |s: &str| {
             s.lines()
                 .filter(|line| !line.starts_with("runtime"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        // On committed and generated topologies alike, dense and lazy
-        // agree verbatim at every thread count.
         for base in [
             "solve --topology waxman:40 --seed 2 --source 0 --dests 5,9 --sfc 2",
             "solve --topology palmetto --source 0 --dests 17,30,44 --sfc 2",
         ] {
-            let dense = run(&format!("{base} --distances dense --threads 1")).unwrap();
-            assert!(dense.contains("validator  : OK"), "{dense}");
-            for threads in [1usize, 2, 4] {
-                let lazy = run(&format!("{base} --distances lazy --threads {threads}")).unwrap();
-                assert_eq!(
-                    strip(&dense),
-                    strip(&lazy),
-                    "dense and lazy must agree bit-for-bit ({base}, {threads} threads)"
-                );
+            let one = run(&format!("{base} --threads 1")).unwrap();
+            assert!(one.contains("validator  : OK"), "{one}");
+            for threads in [2usize, 4] {
+                let many = run(&format!("{base} --threads {threads}")).unwrap();
+                assert_eq!(strip(&one), strip(&many), "{base}, {threads} threads");
             }
         }
-        assert!(run("info --topology palmetto --distances fast").is_err());
     }
 
     #[test]
@@ -1038,7 +1015,6 @@ mod tests {
             );
             assert!(out.contains("\"code\":\"parse_error\""), "{mode}: {out}");
             assert!(out.contains("tasks served   : 3"), "{mode}: {out}");
-            assert!(out.contains("apsp builds    : 1"), "{mode}: {out}");
             // The duplicate task guarantees Steiner-cache hits.
             assert!(!out.contains("hit rate 0.0%"), "{mode}: {out}");
         }
@@ -1075,7 +1051,7 @@ mod tests {
     }
 
     /// `--servers <n>` restricts VNF placement to a stride-spaced subset,
-    /// which is what keeps the lazy provider's working set independent of
+    /// which is what keeps the distance engine's working set independent of
     /// the substrate size: a quote touches rows for servers, sources and
     /// destinations, not all `n`.
     #[test]
@@ -1089,18 +1065,18 @@ mod tests {
         )
         .unwrap();
         let out = run(&format!(
-            "batch --topology waxman:200 --seed 1 --servers 8 --distances lazy --tasks {}",
+            "batch --topology waxman:200 --seed 1 --servers 8 --tasks {}",
             file.display()
         ))
         .unwrap();
         assert!(out.contains("\"id\":1,\"status\":\"ok\""), "{out}");
         let line = out
             .lines()
-            .find(|l| l.starts_with("distance layer : lazy provider"))
+            .find_map(|l| l.strip_prefix("distance layer : "))
             .unwrap_or_else(|| panic!("missing distance layer line: {out}"));
         let rows: usize = line
             .split(", ")
-            .nth(1)
+            .next()
             .and_then(|s| s.strip_suffix(" rows resident"))
             .expect("rows resident field")
             .parse()
@@ -1108,7 +1084,7 @@ mod tests {
         assert!(rows < 100, "working set should be << 200 rows: {line}");
         // 0 (and an over-count) fall back to every node being a server.
         let all = run(&format!(
-            "batch --topology waxman:200 --seed 1 --servers 0 --distances lazy --tasks {}",
+            "batch --topology waxman:200 --seed 1 --servers 0 --tasks {}",
             file.display()
         ))
         .unwrap();

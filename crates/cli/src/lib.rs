@@ -10,7 +10,7 @@
 //!   approximation ratio;
 //! * `sft batch --topology <spec> --tasks <file.jsonl>` — run a JSONL task
 //!   stream through a long-running [`sft_service::EmbedService`] (one
-//!   shared network, APSP built once, persistent Steiner cache) and print
+//!   shared network and distance engine, persistent Steiner cache) and print
 //!   one versioned protocol response line per task plus service
 //!   statistics;
 //! * `sft serve --topology <spec>` — the same protocol streamed over

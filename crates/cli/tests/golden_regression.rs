@@ -9,7 +9,7 @@
 //! match byte-for-byte; of the trailing stats block only the wall-clock
 //! latency line may differ.
 
-use sft_core::{DistanceMode, Network, SolveOptions, Strategy, VnfCatalog};
+use sft_core::{Network, SolveOptions, Strategy, VnfCatalog};
 use sft_service::protocol::{self, Request, RequestMode};
 use sft_service::{EmbedService, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -39,7 +39,6 @@ fn golden_responses() -> Vec<String> {
 /// 3.0-capacity server, uniform setup cost 1.0, catalog of 3 types.
 fn palmetto_network() -> Network {
     Network::builder(sft_topology::palmetto::graph(), VnfCatalog::uniform(3))
-        .distance_mode(DistanceMode::Auto)
         .all_servers(3.0)
         .unwrap()
         .uniform_setup_cost(1.0)

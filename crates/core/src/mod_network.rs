@@ -137,7 +137,7 @@ impl ExpandedMod {
     /// heap search over the materialized overlay.
     ///
     /// The `|S|×|S|` server distance block is read once; a one-stage
-    /// chain never reads it, so a lazy provider materializes only the
+    /// chain never reads it, so the distance engine materializes only the
     /// source's row.
     ///
     /// # Errors
@@ -418,7 +418,6 @@ mod tests {
         let net = Network::builder(g, VnfCatalog::uniform(2))
             .all_servers(2.0)
             .unwrap()
-            .distance_mode(sft_graph::DistanceMode::Lazy)
             .build()
             .unwrap();
         // One stage needs only the source's row; two need every server's.

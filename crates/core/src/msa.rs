@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 /// choice — same approximation class, different tree shapes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum SteinerMethod {
-    /// Kou–Markowsky–Berman with the pre-computed distance matrix.
+    /// Kou–Markowsky–Berman over the network's memoized distance rows.
     #[default]
     Kmb,
     /// Takahashi–Matsuyama incremental path heuristic.
@@ -638,39 +638,40 @@ mod tests {
 
     #[test]
     fn a_cancelled_build_is_not_recorded_in_a_shared_cache() {
-        use sft_graph::DistanceMode;
-        // A lazy provider propagates cancellation out of tree builds; the
+        // Distance rows propagate cancellation out of tree builds; the
         // resulting failure must not be stored as an "infeasible root" in
         // a cache that outlives the solve.
-        let mut g = Graph::new(6);
-        for i in 0..6 {
-            g.add_edge(NodeId(i), NodeId((i + 1) % 6), 1.0 + i as f64 * 0.1)
-                .unwrap();
-        }
-        g.add_edge(NodeId(0), NodeId(3), 2.0).unwrap();
-        let net = Network::builder(g, VnfCatalog::uniform(3))
-            .all_servers(5.0)
-            .unwrap()
-            .uniform_setup_cost(1.0)
-            .unwrap()
-            .distance_mode(DistanceMode::Lazy)
-            .build()
-            .unwrap();
+        let build = || {
+            let mut g = Graph::new(6);
+            for i in 0..6 {
+                g.add_edge(NodeId(i), NodeId((i + 1) % 6), 1.0 + i as f64 * 0.1)
+                    .unwrap();
+            }
+            g.add_edge(NodeId(0), NodeId(3), 2.0).unwrap();
+            Network::builder(g, VnfCatalog::uniform(3))
+                .all_servers(5.0)
+                .unwrap()
+                .uniform_setup_cost(1.0)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let net = build();
         let task = a_task();
         let emod = ExpandedMod::build(&net, task.source(), task.sfc()).unwrap();
         let loads = LoadSnapshot::new(&net);
         let cache = SteinerCache::new();
-        // Building the MOD overlay memoized every row; drop them so the
-        // tree build must recompute one and trips on the token. (Row 0's
-        // placement feasibility is confirmed by the clean evaluate below.)
-        for v in 0..net.node_count() {
-            net.dist().invalidate_source(NodeId(v));
-        }
+        // Building the MOD overlay memoized every row of `net`; an
+        // identical fresh network has none, so its tree build must compute
+        // one and trips on the token. (Row 0's placement feasibility is
+        // confirmed by the clean evaluate below.)
+        let fresh = build();
+        assert_eq!(fresh.dist().rows_materialized(), 0);
         let token = CancelToken::new();
         token.cancel();
         let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
         let got = evaluate_candidate(
-            &net,
+            &fresh,
             &task,
             SteinerMethod::Kmb,
             &emod,
@@ -684,7 +685,7 @@ mod tests {
         assert_eq!(cache.len(), 0, "cancelled failure must not be cached");
         let mut warm: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
         assert!(evaluate_candidate(
-            &net,
+            &fresh,
             &task,
             SteinerMethod::Kmb,
             &emod,

@@ -11,9 +11,7 @@ use crate::api::RerouteTrees;
 use crate::vnf::{VnfCatalog, VnfId};
 use crate::CoreError;
 use sft_graph::numeric::exceeds;
-use sft_graph::{
-    provider_for, DistanceMode, DistanceProvider, EdgeId, Graph, NodeId, ProviderKind,
-};
+use sft_graph::{EdgeId, Graph, LazyDistances, NodeId};
 use std::sync::Arc;
 
 /// The exact state mutation committing one embedding applies: the set of
@@ -145,13 +143,11 @@ impl CommitDelta {
 
 /// An immutable (apart from explicit deployment commits) view of the target
 /// network with everything the embedding algorithms need, including a
-/// shared [`DistanceProvider`] over the link-connection costs (a dense
-/// precomputed matrix on small/dense graphs, a lazy CSR-backed provider on
-/// large ones — see [`NetworkBuilder::distance_mode`]).
+/// shared [`LazyDistances`] engine over the link-connection costs.
 #[derive(Clone, Debug)]
 pub struct Network {
     graph: Graph,
-    dist: Arc<dyn DistanceProvider>,
+    dist: Arc<LazyDistances>,
     servers: Vec<bool>,
     capacity: Vec<f64>,
     catalog: VnfCatalog,
@@ -187,7 +183,6 @@ impl Network {
             capacity: vec![0.0; n],
             setup_cost: vec![vec![1.0; n]; nf],
             deployed: vec![vec![false; n]; nf],
-            distance_mode: DistanceMode::Auto,
         }
     }
 
@@ -201,22 +196,15 @@ impl Network {
         self.graph.node_count()
     }
 
-    /// Shortest paths over link-connection costs. Depending on the
-    /// builder's [`DistanceMode`] this is either a pre-computed all-pairs
-    /// matrix or a lazy provider that materializes per-source rows on
-    /// first query; both answer identically.
-    pub fn dist(&self) -> &dyn DistanceProvider {
-        &*self.dist
+    /// Shortest paths over link-connection costs, computed one source row
+    /// at a time on first query and shared by every clone of this network.
+    pub fn dist(&self) -> &LazyDistances {
+        &self.dist
     }
 
     /// The delay repair's memoized per-(rung, server) trees.
     pub(crate) fn reroute_trees(&self) -> &RerouteTrees {
         &self.reroute
-    }
-
-    /// The same provider as [`Network::dist`], shareable across threads.
-    pub fn dist_arc(&self) -> Arc<dyn DistanceProvider> {
-        Arc::clone(&self.dist)
     }
 
     /// The VNF catalog.
@@ -356,11 +344,12 @@ impl Network {
     /// Node ids are preserved, so an embedding computed on the view is
     /// valid verbatim on the original network; only the dense edge ids
     /// differ, which is why [`Network::commit_delta`] recovers edges from
-    /// node pairs on `self`.
+    /// node pairs on `self`. The view gets its own distance engine, whose
+    /// rows are computed on demand like the network's.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Graph`] if the filtered provider cannot be built.
+    /// None today: building the view cannot fail.
     pub fn bandwidth_view(&self, bandwidth: f64) -> Result<Option<Network>, CoreError> {
         if bandwidth <= 0.0 || !self.graph.has_edge_capacities() {
             return Ok(None);
@@ -382,15 +371,10 @@ impl Network {
                 .set_edge_latency(id, edge.latency)
                 .expect("a stored latency is always valid");
         }
-        let mode = match self.dist.kind() {
-            ProviderKind::Dense => DistanceMode::Dense,
-            ProviderKind::Lazy => DistanceMode::Lazy,
-        };
-        let dist = provider_for(&filtered, mode)?;
         let edge_count = filtered.edge_count();
         Ok(Some(Network {
+            dist: Arc::new(LazyDistances::new(&filtered)),
             graph: filtered,
-            dist,
             servers: self.servers.clone(),
             capacity: self.capacity.clone(),
             catalog: self.catalog.clone(),
@@ -843,21 +827,9 @@ pub struct NetworkBuilder {
     capacity: Vec<f64>,
     setup_cost: Vec<Vec<f64>>,
     deployed: Vec<Vec<bool>>,
-    distance_mode: DistanceMode,
 }
 
 impl NetworkBuilder {
-    /// Selects how shortest-path distances are provided (default
-    /// [`DistanceMode::Auto`]: dense precomputation below
-    /// [`sft_graph::LAZY_THRESHOLD`] nodes, lazy per-source rows above).
-    /// Force [`DistanceMode::Dense`] to precompute everything regardless of
-    /// size, or [`DistanceMode::Lazy`] to keep memory proportional to the
-    /// rows actually queried.
-    #[must_use]
-    pub fn distance_mode(mut self, mode: DistanceMode) -> Self {
-        self.distance_mode = mode;
-        self
-    }
     /// Marks `v` as a server node with the given deployment capacity.
     ///
     /// # Errors
@@ -962,7 +934,8 @@ impl NetworkBuilder {
     }
 
     /// Finalizes the network: validates deployments against server flags
-    /// and capacities, and computes the all-pairs shortest-path matrix.
+    /// and capacities, and snapshots the graph into its distance engine
+    /// (no shortest paths are computed until a solve asks for a row).
     ///
     /// # Errors
     ///
@@ -991,12 +964,6 @@ impl NetworkBuilder {
                 });
             }
         }
-        // Provider dispatch lives in `sft_graph::provider_for`: dense
-        // precomputation (density-dispatched between per-source Dijkstra
-        // and Floyd–Warshall) below the lazy threshold, on-demand CSR rows
-        // above it. Every variant answers bit-identically, so embeddings
-        // price the same either way.
-        let dist = provider_for(&self.graph, self.distance_mode)?;
         let deployed = self
             .deployed
             .iter()
@@ -1009,8 +976,8 @@ impl NetworkBuilder {
             .collect();
         Ok(Network {
             reroute: Arc::new(RerouteTrees::new(servers)),
+            dist: Arc::new(LazyDistances::new(&self.graph)),
             graph: self.graph,
-            dist,
             servers: self.servers,
             capacity: self.capacity,
             catalog: self.catalog,

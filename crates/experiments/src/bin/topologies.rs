@@ -12,7 +12,7 @@ use rand::{RngExt, SeedableRng};
 use sft_core::{MulticastTask, Network, Sfc, VnfCatalog, VnfId};
 use sft_experiments::{record::FigureData, runner, Effort, ExperimentError};
 use sft_graph::parallel::{run_partitioned, Parallelism};
-use sft_graph::{generate, Graph, NodeId};
+use sft_graph::{generate, Graph, LazyDistances, NodeId};
 use sft_topology::{palmetto, Scenario};
 
 fn topology(family: &str, seed: u64) -> Result<Graph, ExperimentError> {
@@ -44,10 +44,7 @@ fn scenario(family: &str, seed: u64) -> Result<Scenario, ExperimentError> {
     let graph = topology(family, seed)?;
     let n = graph.node_count();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-    let l_g = graph
-        .all_pairs_shortest_paths()?
-        .average_distance()
-        .max(1e-9);
+    let l_g = LazyDistances::new(&graph).average_distance().max(1e-9);
     let mut builder = Network::builder(graph, VnfCatalog::uniform(8))
         .all_servers(3.0)?
         .uniform_setup_cost(2.0 * l_g)?;

@@ -1,6 +1,6 @@
 //! Single-source shortest paths (Dijkstra's algorithm).
 //!
-//! [`crate::Graph`]'s `dijkstra` methods and the distance providers share
+//! [`crate::Graph`]'s `dijkstra` methods and the distance engine share
 //! the core in this module. The paper uses Dijkstra twice: over the
 //! expanded MOD network to find the optimal single-chain embedding
 //! (Theorem 2; `sft-core` solves that layered DAG column by column with

@@ -448,8 +448,7 @@ mod tests {
         }
         // Any host reaches any other host (intra-pod via edge/agg,
         // inter-pod via core): diameter 6 hops at unit cost.
-        let m = g.all_pairs_shortest_paths().unwrap();
-        let d = m.distance(NodeId(20), NodeId(35)).unwrap();
+        let d = g.dijkstra(NodeId(20)).distance(NodeId(35)).unwrap();
         assert_eq!(d, 6.0, "inter-pod host distance");
         assert!(fat_tree(3, 1.0).is_err());
         assert!(fat_tree(4, -1.0).is_err());

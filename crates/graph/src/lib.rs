@@ -5,8 +5,7 @@
 //!
 //! * [`Graph`] — an undirected, non-negatively weighted graph with an
 //!   adjacency-list representation ([`graph`]).
-//! * Single-source shortest paths (Dijkstra, [`dijkstra`]) and all-pairs
-//!   shortest paths (Floyd–Warshall, [`apsp`]).
+//! * Single-source shortest paths (Dijkstra, [`dijkstra`]).
 //! * Minimum spanning trees (Kruskal and Prim, [`mst`]) on top of a
 //!   union-find structure ([`union_find`]).
 //! * Steiner-tree constructions ([`steiner`]): the Kou–Markowsky–Berman
@@ -20,11 +19,11 @@
 //! * Random topology generators ([`generate`]): Erdős–Rényi graphs over
 //!   Euclidean point placements, random geometric graphs, and Waxman
 //!   locality-biased graphs, with connectivity augmentation.
-//! * A distance-provider abstraction ([`provider`]): [`DistanceProvider`]
-//!   unifies the dense precomputed [`DistanceMatrix`] with
-//!   [`LazyDistances`], a CSR-backed on-demand provider that materializes
-//!   per-source rows only when queried — the scaling path for 10k+-node
-//!   substrates.
+//! * The distance engine ([`provider`]): [`LazyDistances`] answers
+//!   all-pairs shortest-path queries from a CSR adjacency, computing a
+//!   per-source Dijkstra row on first use and memoizing it in a lock-free
+//!   write-once slot — so a solve pays only for the rows it touches, from
+//!   backbones to 50k-node substrates.
 //! * Cooperative cancellation ([`cancel`]): [`CancelToken`] threads
 //!   deadline/drain interruption through the long-running solvers.
 //!
@@ -47,7 +46,6 @@
 //! # }
 //! ```
 
-pub mod apsp;
 pub mod cache;
 pub mod cancel;
 pub mod dijkstra;
@@ -62,7 +60,6 @@ pub mod steiner;
 pub mod tree;
 pub mod union_find;
 
-pub use apsp::DistanceMatrix;
 pub use cache::{CacheStats, SteinerCache, TreeCache};
 pub use cancel::{CancelToken, Cancelled};
 pub use dijkstra::ShortestPaths;
@@ -70,9 +67,7 @@ pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use numeric::{approx_eq, approx_le, EPS};
 pub use parallel::Parallelism;
-pub use provider::{
-    provider_for, DistanceMode, DistanceProvider, LazyDistances, ProviderKind, LAZY_THRESHOLD,
-};
+pub use provider::LazyDistances;
 pub use steiner::SteinerTree;
 pub use tree::RootedTree;
 pub use union_find::UnionFind;

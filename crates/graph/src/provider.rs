@@ -1,255 +1,36 @@
-//! On-demand shortest-path distances behind the [`DistanceProvider`]
-//! trait.
+//! On-demand shortest-path distances: the workspace's one distance engine.
 //!
-//! The paper's algorithms are stated over a precomputed all-pairs
-//! matrix, and for backbone-sized graphs the dense [`DistanceMatrix`]
-//! is exactly right. At the 10k+-node scale the `n²` dist/next arrays
-//! are gigabytes before the first solve starts, while a single embedding
-//! only ever touches a handful of sources. [`LazyDistances`] keeps a
-//! flat CSR copy of the adjacency (built once per graph epoch), runs
-//! per-source Dijkstra the first time a row is asked for, and memoizes
-//! completed rows behind an `RwLock` so concurrent quotes share them.
+//! The paper's algorithms are stated over a precomputed all-pairs matrix
+//! (Theorem 5 charges Floyd's `O(|V|³)`), but a single embedding only
+//! ever touches a handful of sources: the source, the servers and the
+//! destinations. [`LazyDistances`] keeps a flat CSR copy of the adjacency
+//! (built once per graph), runs per-source Dijkstra the first time a row
+//! is asked for, and memoizes the row in a write-once slot so every later
+//! query — from any thread — reads it without a lock.
 //!
-//! # Bit-identity contract
+//! # Determinism
 //!
-//! A lazy row is computed by the *same* Dijkstra core, expanding
-//! neighbors in the *same* adjacency insertion order, and deriving
-//! `next[s][t]` by the same predecessor walk as
-//! [`Graph::all_pairs_shortest_paths_sparse`]. Shortest-path tie-breaks
-//! therefore resolve identically, and a solve against the lazy provider
-//! is bit-identical to one against the sparse-built dense matrix — the
-//! property the CI `scale-smoke` job asserts end to end.
+//! A row is computed by the same Dijkstra core as [`Graph::dijkstra`],
+//! expanding neighbors in the graph's adjacency insertion order, so
+//! [`LazyDistances::distance`] equals `graph.dijkstra(u).distance(v)` bit
+//! for bit and shortest-path tie-breaks never depend on which thread
+//! computed a row or in what order rows were filled.
 //!
 //! # Aggregate semantics on disconnected graphs
 //!
-//! [`DistanceProvider::average_distance`] averages over ordered pairs of
+//! [`LazyDistances::average_distance`] averages over ordered pairs of
 //! distinct, *mutually reachable* nodes — unreachable (infinite) pairs
 //! are skipped, never poisoning the average — and
-//! [`DistanceProvider::diameter`] is the largest *finite* pairwise
-//! distance. Both return 0.0 when no qualifying pair exists. Every
-//! implementation honors the same contract; the lazy provider streams
-//! rows (compute, fold, discard) so the aggregates stay O(n) resident.
+//! [`LazyDistances::diameter`] is the largest *finite* pairwise distance.
+//! Both return 0.0 when no qualifying pair exists. They stream rows
+//! (compute, fold, discard), so the aggregates stay O(n) resident.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dijkstra::dijkstra_core_cancellable;
-use crate::{DistanceMatrix, Graph, GraphError, NodeId};
+use crate::{Graph, NodeId};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
-
-/// Which implementation backs a [`DistanceProvider`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ProviderKind {
-    /// Precomputed `n²` [`DistanceMatrix`].
-    Dense,
-    /// CSR-backed [`LazyDistances`] with on-demand rows.
-    Lazy,
-}
-
-impl ProviderKind {
-    /// Stable lower-case name for stats rendering.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProviderKind::Dense => "dense",
-            ProviderKind::Lazy => "lazy",
-        }
-    }
-}
-
-impl fmt::Display for ProviderKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Packed per-arc effective latencies, built only when the graph carries
-/// explicit latencies. Both providers snapshot one at construction so
-/// `distance_and_delay` prices the *same* canonical path they return
-/// from [`DistanceProvider::path`] — which is what makes the dense and
-/// lazy (cost, delay) answers bit-identical by construction.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct LatencyCsr {
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    lats: Vec<f64>,
-}
-
-impl LatencyCsr {
-    /// Snapshots the graph's effective latencies, or `None` when no edge
-    /// carries an explicit latency (delay then equals cost everywhere and
-    /// no memory is spent).
-    pub(crate) fn from_graph(graph: &Graph) -> Option<LatencyCsr> {
-        if !graph.has_edge_latencies() {
-            return None;
-        }
-        let n = graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
-        let mut lats = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0);
-        for u in 0..n {
-            for (v, e) in graph.neighbors(NodeId(u)) {
-                neighbors.push(v.0 as u32);
-                lats.push(graph.effective_latency(e));
-            }
-            offsets.push(u32::try_from(neighbors.len()).expect("graph exceeds u32 arc capacity"));
-        }
-        Some(LatencyCsr {
-            offsets,
-            neighbors,
-            lats,
-        })
-    }
-
-    /// Effective latency of the `u`-`v` arc, or `None` if not adjacent.
-    fn hop(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let lo = self.offsets[u.0] as usize;
-        let hi = self.offsets[u.0 + 1] as usize;
-        (lo..hi)
-            .find(|&i| self.neighbors[i] as usize == v.0)
-            .map(|i| self.lats[i])
-    }
-
-    /// Total effective latency along a node walk.
-    pub(crate) fn path_latency(&self, path: &[NodeId]) -> Option<f64> {
-        let mut total = 0.0;
-        for w in path.windows(2) {
-            total += self.hop(w[0], w[1])?;
-        }
-        Some(total)
-    }
-}
-
-/// Shortest-path distances and path reconstruction, dense or on-demand.
-///
-/// Method names and semantics deliberately match [`DistanceMatrix`] so
-/// consumers are implementation-agnostic. Out-of-bounds nodes panic, as
-/// they do on the matrix.
-pub trait DistanceProvider: fmt::Debug + Send + Sync {
-    /// Number of nodes the provider covers.
-    fn node_count(&self) -> usize;
-
-    /// Shortest-path distance from `u` to `v`, or `None` if unreachable.
-    fn distance(&self, u: NodeId, v: NodeId) -> Option<f64>;
-
-    /// The node sequence of a shortest path from `u` to `v` (both
-    /// endpoints included; `[u]` for `u == v`), or `None` if unreachable.
-    fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>>;
-
-    /// [`DistanceProvider::distance`] with a cancellation poll inside any
-    /// on-demand row computation. Precomputed implementations never
-    /// cancel.
-    ///
-    /// # Errors
-    ///
-    /// [`Cancelled`] when `cancel` trips mid-computation.
-    fn try_distance(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<f64>, Cancelled> {
-        let _ = cancel;
-        Ok(self.distance(u, v))
-    }
-
-    /// [`DistanceProvider::path`] with a cancellation poll inside any
-    /// on-demand row computation.
-    ///
-    /// # Errors
-    ///
-    /// [`Cancelled`] when `cancel` trips mid-computation.
-    fn try_path(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<Vec<NodeId>>, Cancelled> {
-        let _ = cancel;
-        Ok(self.path(u, v))
-    }
-
-    /// The (cost, delay) pair of the provider's canonical shortest
-    /// `u`→`v` path: cost is [`DistanceProvider::distance`], delay is the
-    /// sum of effective edge latencies along exactly the node sequence
-    /// [`DistanceProvider::path`] returns. On a latency-free graph the
-    /// delay *is* the cost (latencies default to weights), so the legacy
-    /// model is reproduced bit for bit. `None` when unreachable.
-    ///
-    /// Because dense and lazy providers return bit-identical paths, their
-    /// (cost, delay) answers coincide by construction.
-    fn distance_and_delay(&self, u: NodeId, v: NodeId) -> Option<(f64, f64)>;
-
-    /// Average distance over ordered pairs of distinct mutually reachable
-    /// nodes (the paper's `l_G`); 0.0 when no such pair exists. See the
-    /// module docs for the disconnected-graph contract.
-    fn average_distance(&self) -> f64;
-
-    /// Largest finite pairwise distance; 0.0 below two reachable nodes.
-    fn diameter(&self) -> f64;
-
-    /// Which implementation this is, for telemetry.
-    fn kind(&self) -> ProviderKind;
-
-    /// Distance rows currently resident in memory (always `n` for dense).
-    fn rows_materialized(&self) -> u64;
-
-    /// High-water mark of resident rows over the provider's lifetime.
-    fn peak_rows(&self) -> u64 {
-        self.rows_materialized()
-    }
-
-    /// Row-cache hits (queries answered from a memoized row).
-    fn row_hits(&self) -> u64 {
-        0
-    }
-
-    /// Row-cache misses (queries that ran a fresh Dijkstra).
-    fn row_misses(&self) -> u64 {
-        0
-    }
-
-    /// Drops any memoized state derived from source `u`, forcing the next
-    /// query to recompute it. No-op for precomputed implementations
-    /// (their owner rebuilds the whole matrix on graph change).
-    fn invalidate_source(&self, u: NodeId) {
-        let _ = u;
-    }
-}
-
-impl DistanceProvider for DistanceMatrix {
-    fn node_count(&self) -> usize {
-        DistanceMatrix::node_count(self)
-    }
-
-    fn distance(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        DistanceMatrix::distance(self, u, v)
-    }
-
-    fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        DistanceMatrix::path(self, u, v)
-    }
-
-    fn distance_and_delay(&self, u: NodeId, v: NodeId) -> Option<(f64, f64)> {
-        DistanceMatrix::distance_and_delay(self, u, v)
-    }
-
-    fn average_distance(&self) -> f64 {
-        DistanceMatrix::average_distance(self)
-    }
-
-    fn diameter(&self) -> f64 {
-        DistanceMatrix::diameter(self)
-    }
-
-    fn kind(&self) -> ProviderKind {
-        ProviderKind::Dense
-    }
-
-    fn rows_materialized(&self) -> u64 {
-        DistanceMatrix::node_count(self) as u64
-    }
-}
+use std::sync::OnceLock;
 
 /// One memoized Dijkstra row: distances from a fixed source plus the
 /// first hop towards every reachable target.
@@ -262,9 +43,10 @@ struct Row {
 
 /// On-demand shortest paths over a flat CSR adjacency.
 ///
-/// Built once per graph epoch by [`LazyDistances::new`]; rows are
-/// computed by per-source Dijkstra on first use and shared behind an
-/// `RwLock`, so clones of a network snapshot reuse each other's rows.
+/// Built once per graph by [`LazyDistances::new`]. Rows are computed by
+/// per-source Dijkstra on first use and kept for the engine's lifetime;
+/// the engine is `Sync`, so clones of a network snapshot sharing it behind
+/// an `Arc` reuse each other's rows. Out-of-bounds nodes panic.
 pub struct LazyDistances {
     n: usize,
     // CSR: the neighbors of u are neighbors[offsets[u]..offsets[u+1]],
@@ -273,14 +55,15 @@ pub struct LazyDistances {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     costs: Vec<f64>,
-    // Latency adjacency, present only when the graph carries explicit
-    // edge latencies; `None` means delay == cost on every path.
-    lat: Option<LatencyCsr>,
-    rows: RwLock<Vec<Option<Arc<Row>>>>,
-    hits: AtomicU64,
+    // Effective latency per arc, aligned with `neighbors`; `None` when
+    // the graph carries no explicit latency, so delay == cost everywhere.
+    lats: Option<Vec<f64>>,
+    // Write-once row slots: a hit is one acquire load. A miss computes
+    // outside any lock and publishes with `set`; a racing miss computes
+    // the same deterministic row and keeps whichever landed first.
+    rows: Box<[OnceLock<Row>]>,
     misses: AtomicU64,
     resident: AtomicU64,
-    peak: AtomicU64,
 }
 
 impl fmt::Debug for LazyDistances {
@@ -301,11 +84,17 @@ impl LazyDistances {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
         let mut costs = Vec::with_capacity(2 * graph.edge_count());
+        let mut lats = graph
+            .has_edge_latencies()
+            .then(|| Vec::with_capacity(2 * graph.edge_count()));
         offsets.push(0);
         for u in 0..n {
             for (v, e) in graph.neighbors(NodeId(u)) {
                 neighbors.push(v.0 as u32);
                 costs.push(graph.weight(e));
+                if let Some(lats) = &mut lats {
+                    lats.push(graph.effective_latency(e));
+                }
             }
             offsets.push(u32::try_from(neighbors.len()).expect("graph exceeds u32 arc capacity"));
         }
@@ -314,18 +103,20 @@ impl LazyDistances {
             offsets,
             neighbors,
             costs,
-            lat: LatencyCsr::from_graph(graph),
-            rows: RwLock::new((0..n).map(|_| None).collect()),
-            hits: AtomicU64::new(0),
+            lats,
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
             misses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
         }
     }
 
-    /// Runs Dijkstra from `s` over the CSR arrays, mirroring the sparse
-    /// APSP row fill exactly (same core, same expansion order, same
-    /// predecessor walk for the first hop).
+    /// Number of nodes the engine covers.
+    pub fn node_count(&self) -> usize {
+        self.n
+    }
+
+    /// Runs Dijkstra from `s` over the CSR arrays and derives each
+    /// target's first hop by walking predecessors back to the source.
     fn compute_row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<Row, Cancelled> {
         let sp = dijkstra_core_cancellable(
             self.n,
@@ -360,101 +151,79 @@ impl LazyDistances {
         Ok(Row { dist, next })
     }
 
-    /// The memoized row for source `s`, computing and caching it on miss.
-    fn row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<Arc<Row>, Cancelled> {
-        assert!(s < self.n, "node out of bounds");
-        {
-            let rows = self.rows.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(row) = &rows[s] {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(row));
-            }
+    /// The memoized row for source `s`, computing and publishing it on a
+    /// miss. A cancelled computation leaves the slot empty.
+    #[inline]
+    fn row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<&Row, Cancelled> {
+        match self.rows[s].get() {
+            Some(row) => Ok(row),
+            None => self.fill_row(s, cancel),
         }
+    }
+
+    /// The miss path of [`LazyDistances::row`], kept out of line so that
+    /// callers in other crates inline only the hit.
+    #[cold]
+    fn fill_row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<&Row, Cancelled> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let row = Arc::new(self.compute_row(s, cancel)?);
-        let mut rows = self.rows.write().unwrap_or_else(PoisonError::into_inner);
-        match &rows[s] {
-            // A concurrent miss computed the same (deterministic) row
-            // first; keep the resident count honest by using theirs.
-            Some(existing) => Ok(Arc::clone(existing)),
-            None => {
-                rows[s] = Some(Arc::clone(&row));
-                let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
-                self.peak.fetch_max(now, Ordering::Relaxed);
-                Ok(row)
-            }
+        let row = self.compute_row(s, cancel)?;
+        let slot = &self.rows[s];
+        if slot.set(row).is_ok() {
+            self.resident.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(slot.get().expect("the slot was filled above"))
     }
 
-    /// Streams every row through `fold` — cached rows are reused, missing
-    /// ones are computed and *discarded*, so aggregate queries never blow
-    /// up the resident-row count (or the hit/miss telemetry).
-    fn scan_rows(&self, mut fold: impl FnMut(usize, &[f64])) {
-        for s in 0..self.n {
-            let cached = {
-                let rows = self.rows.read().unwrap_or_else(PoisonError::into_inner);
-                rows[s].as_ref().map(Arc::clone)
-            };
-            match cached {
-                Some(row) => fold(s, &row.dist),
-                None => {
-                    let row = match self.compute_row(s, None) {
-                        Ok(row) => row,
-                        Err(Cancelled) => unreachable!("no token was supplied"),
-                    };
-                    fold(s, &row.dist);
-                }
-            }
-        }
-    }
-}
-
-impl DistanceProvider for LazyDistances {
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn distance(&self, u: NodeId, v: NodeId) -> Option<f64> {
+    /// Shortest-path distance from `u` to `v`, or `None` if unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of bounds.
+    #[inline]
+    pub fn distance(&self, u: NodeId, v: NodeId) -> Option<f64> {
         match self.try_distance(u, v, None) {
             Ok(d) => d,
             Err(Cancelled) => unreachable!("no token was supplied"),
         }
     }
 
-    fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
+    /// The node sequence of a shortest path from `u` to `v` (both
+    /// endpoints included; `[u]` for `u == v`), or `None` if unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of bounds.
+    pub fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
         match self.try_path(u, v, None) {
             Ok(p) => p,
             Err(Cancelled) => unreachable!("no token was supplied"),
         }
     }
 
-    fn distance_and_delay(&self, u: NodeId, v: NodeId) -> Option<(f64, f64)> {
-        let cost = self.distance(u, v)?;
-        match &self.lat {
-            None => Some((cost, cost)),
-            Some(lat) => {
-                let path = self.path(u, v)?;
-                let delay = lat
-                    .path_latency(&path)
-                    .expect("canonical path only uses stored arcs");
-                Some((cost, delay))
-            }
-        }
-    }
-
-    fn try_distance(
+    /// [`LazyDistances::distance`] with a cancellation poll inside any
+    /// row computation.
+    ///
+    /// # Errors
+    ///
+    /// [`Cancelled`] when `cancel` trips mid-computation.
+    #[inline]
+    pub fn try_distance(
         &self,
         u: NodeId,
         v: NodeId,
         cancel: Option<&CancelToken>,
     ) -> Result<Option<f64>, Cancelled> {
-        assert!(v.0 < self.n, "node out of bounds");
-        let row = self.row(u.0, cancel)?;
-        let d = row.dist[v.0];
+        let d = self.row(u.0, cancel)?.dist[v.0];
         Ok(d.is_finite().then_some(d))
     }
 
-    fn try_path(
+    /// [`LazyDistances::path`] with a cancellation poll inside any row
+    /// computation.
+    ///
+    /// # Errors
+    ///
+    /// [`Cancelled`] when `cancel` trips mid-computation.
+    pub fn try_path(
         &self,
         u: NodeId,
         v: NodeId,
@@ -463,14 +232,12 @@ impl DistanceProvider for LazyDistances {
         if self.try_distance(u, v, cancel)?.is_none() {
             return Ok(None);
         }
-        // The same cross-row first-hop walk as DistanceMatrix::path: each
-        // step consults the *current* node's row, so tie-breaks resolve
-        // identically to the sparse-built matrix.
+        // Each step consults the *current* node's row, so the path is the
+        // concatenation of first hops and every suffix is itself canonical.
         let mut path = vec![u];
         let mut cur = u;
         while cur != v {
-            let row = self.row(cur.0, cancel)?;
-            match row.next[v.0] {
+            match self.row(cur.0, cancel)?.next[v.0] {
                 Some(next) => {
                     path.push(next);
                     cur = next;
@@ -481,7 +248,54 @@ impl DistanceProvider for LazyDistances {
         Ok(Some(path))
     }
 
-    fn average_distance(&self) -> f64 {
+    /// The (cost, delay) pair of the canonical shortest `u`→`v` path: cost
+    /// is [`LazyDistances::distance`], delay is the sum of effective edge
+    /// latencies along exactly the node sequence [`LazyDistances::path`]
+    /// returns. On a latency-free graph the delay *is* the cost (latencies
+    /// default to weights), so the cost-only model is reproduced bit for
+    /// bit. `None` when unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of bounds.
+    pub fn distance_and_delay(&self, u: NodeId, v: NodeId) -> Option<(f64, f64)> {
+        let cost = self.distance(u, v)?;
+        let Some(lats) = &self.lats else {
+            return Some((cost, cost));
+        };
+        let path = self.path(u, v)?;
+        let mut delay = 0.0;
+        for hop in path.windows(2) {
+            let lo = self.offsets[hop[0].0] as usize;
+            let hi = self.offsets[hop[0].0 + 1] as usize;
+            let arc = (lo..hi)
+                .find(|&i| self.neighbors[i] as usize == hop[1].0)
+                .expect("canonical path only uses stored arcs");
+            delay += lats[arc];
+        }
+        Some((cost, delay))
+    }
+
+    /// Streams every row through `fold` — memoized rows are reused,
+    /// missing ones are computed and *discarded*, so aggregate queries
+    /// never grow the resident-row count or the miss counter.
+    fn scan_rows(&self, mut fold: impl FnMut(usize, &[f64])) {
+        for s in 0..self.n {
+            match self.rows[s].get() {
+                Some(row) => fold(s, &row.dist),
+                None => match self.compute_row(s, None) {
+                    Ok(row) => fold(s, &row.dist),
+                    Err(Cancelled) => unreachable!("no token was supplied"),
+                },
+            }
+        }
+    }
+
+    /// Average distance over ordered pairs of distinct mutually reachable
+    /// nodes — the paper's `l_G` normalizer for VNF deployment costs; 0.0
+    /// when no such pair exists. See the module docs for the
+    /// disconnected-graph contract.
+    pub fn average_distance(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0u64;
         self.scan_rows(|s, dist| {
@@ -499,7 +313,8 @@ impl DistanceProvider for LazyDistances {
         }
     }
 
-    fn diameter(&self) -> f64 {
+    /// Largest finite pairwise distance; 0.0 below two reachable nodes.
+    pub fn diameter(&self) -> f64 {
         let mut max = 0.0f64;
         self.scan_rows(|_, dist| {
             for &d in dist {
@@ -511,92 +326,27 @@ impl DistanceProvider for LazyDistances {
         max
     }
 
-    fn kind(&self) -> ProviderKind {
-        ProviderKind::Lazy
-    }
-
-    fn rows_materialized(&self) -> u64 {
+    /// Distance rows currently resident in memory.
+    pub fn rows_materialized(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }
 
-    fn peak_rows(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
+    /// High-water mark of resident rows. Rows are never dropped, so this
+    /// is [`LazyDistances::rows_materialized`].
+    pub fn peak_rows(&self) -> u64 {
+        self.rows_materialized()
     }
 
-    fn row_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// Always 0: hits are not counted, because a per-query counter costs
+    /// more than the hit itself. Kept for callers that still report it.
+    pub fn row_hits(&self) -> u64 {
+        0
     }
 
-    fn row_misses(&self) -> u64 {
+    /// Row computations started: one per first query of a source, plus
+    /// any that a concurrent miss or a cancellation made redundant.
+    pub fn row_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    fn invalidate_source(&self, u: NodeId) {
-        assert!(u.0 < self.n, "node out of bounds");
-        let mut rows = self.rows.write().unwrap_or_else(PoisonError::into_inner);
-        if rows[u.0].take().is_some() {
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Node count above which [`provider_for`] (and `Network::build`) stop
-/// precomputing the dense matrix: beyond this, the `n²` arrays dominate
-/// memory while a typical solve touches few sources. At the threshold
-/// the dense matrix is ~25 MB; it quadruples per doubling.
-pub const LAZY_THRESHOLD: usize = 1024;
-
-/// How a provider should be chosen for a graph.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum DistanceMode {
-    /// Size dispatch: dense below [`LAZY_THRESHOLD`] nodes, lazy above.
-    #[default]
-    Auto,
-    /// Always precompute the full matrix (Floyd–Warshall on dense
-    /// graphs, per-source Dijkstra on sparse ones).
-    Dense,
-    /// Always the on-demand CSR provider.
-    Lazy,
-}
-
-impl std::str::FromStr for DistanceMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<DistanceMode, String> {
-        match s {
-            "auto" => Ok(DistanceMode::Auto),
-            "dense" => Ok(DistanceMode::Dense),
-            "lazy" => Ok(DistanceMode::Lazy),
-            other => Err(format!("unknown distance mode `{other}`")),
-        }
-    }
-}
-
-/// Builds the distance provider for `graph` under `mode`. `Auto` keeps
-/// the historical density dispatch (Floyd–Warshall vs per-source
-/// Dijkstra) below [`LAZY_THRESHOLD`] nodes and goes lazy above it.
-///
-/// # Errors
-///
-/// Propagates [`GraphError`] from the dense APSP builders (which never
-/// fail on valid graphs today).
-pub fn provider_for(
-    graph: &Graph,
-    mode: DistanceMode,
-) -> Result<Arc<dyn DistanceProvider>, GraphError> {
-    let n = graph.node_count();
-    match mode {
-        DistanceMode::Lazy => Ok(Arc::new(LazyDistances::new(graph))),
-        DistanceMode::Auto if n > LAZY_THRESHOLD => Ok(Arc::new(LazyDistances::new(graph))),
-        DistanceMode::Auto | DistanceMode::Dense => {
-            // Dense dispatch: Dijkstra-per-row beats Floyd–Warshall's
-            // O(n³) whenever the graph is sparse (|E| * 8 < n²).
-            if graph.edge_count() * 8 < n * n {
-                Ok(Arc::new(graph.all_pairs_shortest_paths_sparse()?))
-            } else {
-                Ok(Arc::new(graph.all_pairs_shortest_paths()?))
-            }
-        }
     }
 }
 
@@ -618,21 +368,19 @@ mod tests {
     }
 
     #[test]
-    fn lazy_is_bit_identical_to_the_sparse_matrix() {
+    fn rows_are_bit_identical_to_graph_dijkstra() {
         let g = sample();
-        let dense = g.all_pairs_shortest_paths_sparse().unwrap();
         let lazy = LazyDistances::new(&g);
         for s in g.nodes() {
+            let sp = g.dijkstra(s);
             for t in g.nodes() {
-                // Not approximate: Option<f64> equality, tie-breaks included.
-                assert_eq!(
-                    DistanceProvider::distance(&dense, s, t),
-                    lazy.distance(s, t),
-                    "distance {s:?}->{t:?}"
-                );
-                assert_eq!(
-                    DistanceProvider::path(&dense, s, t),
-                    lazy.path(s, t),
+                // Not approximate: Option<f64> equality.
+                assert_eq!(lazy.distance(s, t), sp.distance(t), "distance {s:?}->{t:?}");
+                let p = lazy.path(s, t).unwrap();
+                assert_eq!((p[0], *p.last().unwrap()), (s, t));
+                let w = g.path_weight(&p).unwrap();
+                assert!(
+                    (w - sp.distance(t).unwrap()).abs() < 1e-12,
                     "path {s:?}->{t:?}"
                 );
             }
@@ -644,43 +392,37 @@ mod tests {
     #[test]
     fn delay_equals_cost_on_a_latency_free_graph() {
         let g = sample();
-        let dense = g.all_pairs_shortest_paths_sparse().unwrap();
         let lazy = LazyDistances::new(&g);
         for s in g.nodes() {
             for t in g.nodes() {
                 let expect = lazy.distance(s, t).map(|d| (d, d));
-                assert_eq!(lazy.distance_and_delay(s, t), expect, "lazy {s:?}->{t:?}");
-                assert_eq!(
-                    DistanceProvider::distance_and_delay(&dense, s, t),
-                    expect,
-                    "dense {s:?}->{t:?}"
-                );
+                assert_eq!(lazy.distance_and_delay(s, t), expect, "{s:?}->{t:?}");
             }
         }
     }
 
     #[test]
-    fn dense_and_lazy_agree_on_cost_and_delay_pairs() {
+    fn delay_sums_latencies_along_the_canonical_path() {
         // Give every edge a latency decoupled from its weight so the delay
         // component genuinely exercises the canonical-path walk.
         let mut g = sample();
         for (i, e) in g.edge_ids().collect::<Vec<_>>().into_iter().enumerate() {
             g.set_edge_latency(e, Some(0.5 + i as f64 * 0.25)).unwrap();
         }
-        // Parity is against the sparse-built matrix: lazy rows mirror the
-        // sparse APSP fill bit for bit (FW may tie-break differently).
-        let dense = g.all_pairs_shortest_paths_sparse().unwrap();
         let lazy = LazyDistances::new(&g);
         let mut saw_divergence = false;
         for s in g.nodes() {
             for t in g.nodes() {
-                let d = DistanceProvider::distance_and_delay(&dense, s, t);
-                let l = lazy.distance_and_delay(s, t);
-                assert_eq!(d, l, "pair {s:?}->{t:?}");
-                if let Some((cost, delay)) = l {
-                    if (cost - delay).abs() > 1e-9 {
-                        saw_divergence = true;
-                    }
+                let (cost, delay) = lazy.distance_and_delay(s, t).unwrap();
+                let path = lazy.path(s, t).unwrap();
+                let expect: f64 = path
+                    .windows(2)
+                    .map(|w| g.effective_latency(g.find_edge(w[0], w[1]).unwrap()))
+                    .sum();
+                assert_eq!(Some(cost), lazy.distance(s, t));
+                assert_eq!(delay, expect, "pair {s:?}->{t:?}");
+                if (cost - delay).abs() > 1e-9 {
+                    saw_divergence = true;
                 }
             }
         }
@@ -688,51 +430,73 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_hits_misses_and_rows() {
+    fn telemetry_counts_misses_and_rows() {
         let g = sample();
         let lazy = LazyDistances::new(&g);
         assert_eq!(lazy.rows_materialized(), 0);
-        assert_eq!(lazy.kind(), ProviderKind::Lazy);
         lazy.distance(NodeId(0), NodeId(3));
         assert_eq!((lazy.row_hits(), lazy.row_misses()), (0, 1));
         lazy.distance(NodeId(0), NodeId(4));
-        assert_eq!((lazy.row_hits(), lazy.row_misses()), (1, 1));
+        assert_eq!((lazy.row_hits(), lazy.row_misses()), (0, 1));
         assert_eq!(lazy.rows_materialized(), 1);
     }
 
     #[test]
-    fn invalidate_source_drops_one_row_and_recomputes() {
-        let g = sample();
-        let lazy = LazyDistances::new(&g);
-        lazy.distance(NodeId(0), NodeId(3));
-        lazy.distance(NodeId(1), NodeId(3));
-        assert_eq!(lazy.rows_materialized(), 2);
-        lazy.invalidate_source(NodeId(0));
-        assert_eq!(lazy.rows_materialized(), 1);
-        // Idempotent on an absent row.
-        lazy.invalidate_source(NodeId(0));
-        assert_eq!(lazy.rows_materialized(), 1);
-        assert_eq!(lazy.distance(NodeId(0), NodeId(3)), Some(17.0));
-        assert_eq!(lazy.rows_materialized(), 2);
-        assert_eq!(lazy.peak_rows(), 2);
+    fn concurrent_cold_queries_match_a_sequential_engine() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let g = crate::generate::euclidean_er(40, 0.1, 100.0, &mut rng)
+            .unwrap()
+            .graph;
+        let sequential = LazyDistances::new(&g);
+        let shared = LazyDistances::new(&g);
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut out = Vec::new();
+                        for s in g.nodes() {
+                            for t in g.nodes() {
+                                out.push((shared.distance(s, t), shared.path(s, t)));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("query thread panicked"))
+                .collect()
+        });
+        let expect: Vec<_> = g
+            .nodes()
+            .flat_map(|s| g.nodes().map(move |t| (s, t)))
+            .map(|(s, t)| (sequential.distance(s, t), sequential.path(s, t)))
+            .collect();
+        for got in &answers {
+            // Bit-for-bit: Option<f64> equality plus identical paths.
+            assert_eq!(got, &expect);
+        }
+        assert_eq!(shared.rows_materialized(), g.node_count() as u64);
     }
 
     #[test]
-    fn aggregates_match_dense_and_skip_unreachable_pairs() {
-        // Two components: the disconnected-graph contract (satellite) —
-        // unreachable pairs are skipped by the average and the diameter.
+    fn aggregates_skip_unreachable_pairs() {
+        // Two components: unreachable pairs are skipped by the average
+        // (3+3+4+4)/4 and the diameter is the largest finite distance.
         let mut g = Graph::new(4);
         g.add_edge(NodeId(0), NodeId(1), 3.0).unwrap();
         g.add_edge(NodeId(2), NodeId(3), 4.0).unwrap();
-        let dense = g.all_pairs_shortest_paths().unwrap();
         let lazy = LazyDistances::new(&g);
-        assert!((DistanceMatrix::average_distance(&dense) - 3.5).abs() < 1e-12);
         assert!((lazy.average_distance() - 3.5).abs() < 1e-12);
-        assert!((DistanceMatrix::diameter(&dense) - 4.0).abs() < 1e-12);
         assert!((lazy.diameter() - 4.0).abs() < 1e-12);
         // Aggregates stream: nothing stays resident, counters untouched.
-        assert_eq!(lazy.rows_materialized(), 0);
-        assert_eq!((lazy.row_hits(), lazy.row_misses()), (0, 0));
+        assert_eq!((lazy.rows_materialized(), lazy.row_misses()), (0, 0));
+        assert_eq!(lazy.distance(NodeId(0), NodeId(2)), None);
+        assert!(lazy.path(NodeId(0), NodeId(3)).is_none());
     }
 
     #[test]
@@ -762,23 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_picks_dense_small_and_lazy_large() {
-        let g = sample();
-        let p = provider_for(&g, DistanceMode::Auto).unwrap();
-        assert_eq!(p.kind(), ProviderKind::Dense);
-        let forced = provider_for(&g, DistanceMode::Lazy).unwrap();
-        assert_eq!(forced.kind(), ProviderKind::Lazy);
-        let big = Graph::new(LAZY_THRESHOLD + 1);
-        let p = provider_for(&big, DistanceMode::Auto).unwrap();
-        assert_eq!(p.kind(), ProviderKind::Lazy);
-        let p = provider_for(&big, DistanceMode::Dense).unwrap();
-        assert_eq!(p.kind(), ProviderKind::Dense);
-        assert!("fancy".parse::<DistanceMode>().is_err());
-        assert_eq!("lazy".parse::<DistanceMode>(), Ok(DistanceMode::Lazy));
-    }
-
-    #[test]
-    fn out_of_bounds_nodes_panic_like_the_matrix() {
+    fn out_of_bounds_nodes_panic() {
         let lazy = LazyDistances::new(&sample());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             lazy.distance(NodeId(0), NodeId(99))

@@ -12,7 +12,7 @@
 //!   subsets, the test oracle for approximation-ratio assertions.
 
 use crate::cancel::CancelToken;
-use crate::provider::DistanceProvider;
+use crate::provider::LazyDistances;
 use crate::union_find::UnionFind;
 use crate::{EdgeId, Graph, GraphError, NodeId};
 use std::collections::BTreeSet;
@@ -174,40 +174,22 @@ impl Graph {
         })
     }
 
-    /// KMB Steiner tree using a pre-computed all-pairs distance matrix for
-    /// the metric closure and path expansion, instead of per-terminal
-    /// Dijkstra runs. Equivalent to [`Graph::steiner_kmb_with_provider`]
-    /// with no cancellation token.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::steiner_kmb`]. The matrix must belong to
-    /// this graph (same node count), otherwise
-    /// [`GraphError::NodeOutOfBounds`] is returned.
-    pub fn steiner_kmb_with_matrix(
-        &self,
-        dist: &crate::DistanceMatrix,
-        terminals: &[NodeId],
-    ) -> Result<SteinerTree, GraphError> {
-        self.steiner_kmb_with_provider(dist, terminals, None)
-    }
-
-    /// KMB Steiner tree over any [`DistanceProvider`] — the dense matrix
-    /// or the lazy CSR provider — with an optional cancellation token
-    /// polled inside any on-demand row computation. Produces the same
-    /// approximation guarantee as [`Graph::steiner_kmb`]; much faster when
-    /// many trees are built over the same graph (the paper's stage 1
-    /// builds one per candidate last-VNF node).
+    /// KMB Steiner tree whose metric closure and path expansion read the
+    /// memoized rows of `dist`, with an optional cancellation token polled
+    /// inside any row computation. Produces the same approximation
+    /// guarantee as [`Graph::steiner_kmb`]; much faster when many trees are
+    /// built over the same graph (the paper's stage 1 builds one per
+    /// candidate last-VNF node).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Graph::steiner_kmb`], plus
     /// [`GraphError::Cancelled`] when `cancel` trips mid-construction. The
-    /// provider must belong to this graph (same node count), otherwise
+    /// engine must belong to this graph (same node count), otherwise
     /// [`GraphError::NodeOutOfBounds`] is returned.
-    pub fn steiner_kmb_with_provider<D: DistanceProvider + ?Sized>(
+    pub fn steiner_kmb_with_provider(
         &self,
-        dist: &D,
+        dist: &LazyDistances,
         terminals: &[NodeId],
         cancel: Option<&CancelToken>,
     ) -> Result<SteinerTree, GraphError> {
@@ -261,7 +243,7 @@ impl Graph {
             }
         }
 
-        // Expand closure edges into shortest paths from the provider.
+        // Expand closure edges into the engine's shortest paths.
         let mut chosen: BTreeSet<EdgeId> = BTreeSet::new();
         for (a, b) in closure_edges {
             let path = dist
@@ -644,19 +626,19 @@ mod tests {
     }
 
     #[test]
-    fn matrix_kmb_matches_dijkstra_kmb() {
+    fn provider_kmb_stays_within_the_kmb_bound() {
         let g = grid(4, 4, |i| 1.0 + ((i * 7) % 5) as f64 * 0.3);
-        let dist = g.all_pairs_shortest_paths().unwrap();
+        let dist = LazyDistances::new(&g);
         for terms in [
             vec![NodeId(0), NodeId(15)],
             vec![NodeId(0), NodeId(3), NodeId(12), NodeId(15)],
             vec![NodeId(5), NodeId(6), NodeId(9), NodeId(10), NodeId(0)],
         ] {
             let a = g.steiner_kmb(&terms).unwrap();
-            let b = g.steiner_kmb_with_matrix(&dist, &terms).unwrap();
+            let b = g.steiner_kmb_with_provider(&dist, &terms, None).unwrap();
             assert!(b.is_valid(&g, &terms));
             // Tie-breaking may differ; both must be within the KMB bound
-            // of each other and of the optimum.
+            // of the optimum.
             let opt = g.steiner_exact(&terms).unwrap();
             assert!(a.cost <= 2.0 * opt.cost + 1e-9);
             assert!(b.cost <= 2.0 * opt.cost + 1e-9);
@@ -664,47 +646,23 @@ mod tests {
     }
 
     #[test]
-    fn provider_kmb_is_bit_identical_across_dense_and_lazy() {
-        let g = grid(4, 4, |i| 1.0 + ((i * 7) % 5) as f64 * 0.3);
-        // The sparse-built matrix and the lazy provider share the same
-        // per-source Dijkstra, so the trees must match exactly — edge ids
-        // and cost bits, not just within tolerance.
-        let dense = g.all_pairs_shortest_paths_sparse().unwrap();
-        let lazy = crate::LazyDistances::new(&g);
-        for terms in [
-            vec![NodeId(0), NodeId(15)],
-            vec![NodeId(0), NodeId(3), NodeId(12), NodeId(15)],
-            vec![NodeId(5), NodeId(6), NodeId(9), NodeId(10), NodeId(0)],
-        ] {
-            let a = g.steiner_kmb_with_provider(&dense, &terms, None).unwrap();
-            let b = g.steiner_kmb_with_provider(&lazy, &terms, None).unwrap();
-            assert_eq!(a, b, "terminals {terms:?}");
-        }
-    }
-
-    #[test]
     fn provider_kmb_propagates_cancellation() {
         let g = grid(4, 4, |_| 1.0);
-        let lazy = crate::LazyDistances::new(&g);
+        let lazy = LazyDistances::new(&g);
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
             g.steiner_kmb_with_provider(&lazy, &[NodeId(0), NodeId(15)], Some(&token)),
             Err(GraphError::Cancelled)
         );
-        // The dense matrix has nothing to cancel: it still answers.
-        let dense = g.all_pairs_shortest_paths_sparse().unwrap();
-        assert!(g
-            .steiner_kmb_with_provider(&dense, &[NodeId(0), NodeId(15)], Some(&token))
-            .is_ok());
     }
 
     #[test]
-    fn matrix_kmb_rejects_foreign_matrix() {
+    fn provider_kmb_rejects_a_foreign_engine() {
         let g = grid(2, 2, |_| 1.0);
-        let other = grid(3, 3, |_| 1.0).all_pairs_shortest_paths().unwrap();
+        let other = LazyDistances::new(&grid(3, 3, |_| 1.0));
         assert!(matches!(
-            g.steiner_kmb_with_matrix(&other, &[NodeId(0), NodeId(3)]),
+            g.steiner_kmb_with_provider(&other, &[NodeId(0), NodeId(3)], None),
             Err(GraphError::NodeOutOfBounds { .. })
         ));
     }

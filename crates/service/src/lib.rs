@@ -5,9 +5,9 @@
 //! task changes the cost landscape for the next one. This crate turns the
 //! per-call solvers of `sft-core` into a process-shaped component:
 //!
-//! * [`EmbedService`] owns one [`sft_core::Network`] whose all-pairs
-//!   shortest-path matrix is computed **once** (at `Network::build`) and
-//!   shared by every request for the service's lifetime.
+//! * [`EmbedService`] owns one [`sft_core::Network`] whose shortest-path
+//!   rows are computed **once** per source (on first use) and shared by
+//!   every request for the service's lifetime.
 //! * A persistent [`sft_graph::SteinerCache`] lives across requests:
 //!   delivery trees built for one task are served from the cache to later
 //!   tasks with the same root and destination set. Trees depend only on

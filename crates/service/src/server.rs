@@ -5,7 +5,7 @@
 //! ([`crate::admission`], answered from the [`CapacityLedger`] mirror so
 //! readers never touch the service lock) and enqueues accepted jobs onto
 //! a bounded [`JobQueue`]; a fixed worker pool pops jobs and solves them
-//! against the **shared** service (one `Network`, one APSP, one
+//! against the **shared** service (one `Network`, one distance engine, one
 //! `SteinerCache`) behind an `RwLock`.
 //!
 //! Quotes *and commit solves* run concurrently under the read half:

@@ -248,7 +248,7 @@ struct Counters {
 
 /// A long-running embedding service.
 ///
-/// Owns the network (APSP built exactly once, inside `Network::build`),
+/// Owns the network (each distance row computed once, on first use),
 /// a persistent Steiner cache shared across requests and worker threads,
 /// and running latency/serving statistics.
 #[derive(Debug)]
@@ -479,9 +479,7 @@ impl EmbedService {
         stats.delay_infeasible = counters.delay_infeasible;
         drop(counters);
         let dist = self.network.dist();
-        stats.distance_provider = dist.kind().as_str();
         stats.distance_rows = dist.rows_materialized();
-        stats.distance_row_hits = dist.row_hits();
         stats.distance_row_misses = dist.row_misses();
         let graph = self.network.graph();
         let utils: Vec<f64> = graph

@@ -15,9 +15,6 @@ pub struct ServiceStats {
     /// Sessions released, giving their references (and last-reference
     /// capacity) back.
     pub releases: u64,
-    /// APSP matrices computed over the service lifetime — always 1: the
-    /// matrix is built once when the network is, and shared ever after.
-    pub apsp_builds: u64,
     /// Entries currently in the Steiner cache.
     pub cache_entries: usize,
     /// Steiner lookups answered from the cache.
@@ -39,18 +36,17 @@ pub struct ServiceStats {
     /// Commit attempts that lost their optimistic-concurrency race and
     /// re-solved (socket server only; 0 elsewhere).
     pub commit_conflicts: u64,
-    /// Which distance provider backs the network: `"dense"` (full matrix
-    /// precomputed at build) or `"lazy"` (CSR-backed per-source rows
-    /// materialized on demand).
+    /// Always `"lazy"`: the network has one distance engine, whose
+    /// per-source rows are computed on demand. Kept for readers that
+    /// still report it.
     pub distance_provider: &'static str,
-    /// Distance rows currently resident (always `n` for dense; the number
-    /// of memoized sources for lazy).
+    /// Distance rows currently resident (the number of memoized sources).
     pub distance_rows: u64,
-    /// Lazy row lookups served from an already-materialized row (0 for
-    /// dense).
+    /// Always 0: the distance engine does not count row hits (see
+    /// `sft_graph::LazyDistances::row_hits`). Kept for readers that still
+    /// report it.
     pub distance_row_hits: u64,
-    /// Lazy row lookups that had to run a fresh per-source Dijkstra (0
-    /// for dense).
+    /// Row lookups that had to run a fresh per-source Dijkstra.
     pub distance_row_misses: u64,
     /// Edges carrying a bandwidth capacity (0 = uncapacitated network,
     /// which suppresses the link-utilization line).
@@ -91,7 +87,6 @@ impl ServiceStats {
             failures,
             commits,
             releases: 0,
-            apsp_builds: 1,
             cache_entries: cache.entries,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -101,7 +96,7 @@ impl ServiceStats {
             mean_ms,
             jobs_shed: 0,
             commit_conflicts: 0,
-            distance_provider: "dense",
+            distance_provider: "lazy",
             distance_rows: 0,
             distance_row_hits: 0,
             distance_row_misses: 0,
@@ -132,7 +127,6 @@ impl ServiceStats {
         let _ = writeln!(out, "failures       : {}", self.failures);
         let _ = writeln!(out, "commits        : {}", self.commits);
         let _ = writeln!(out, "releases       : {}", self.releases);
-        let _ = writeln!(out, "apsp builds    : {}", self.apsp_builds);
         let _ = writeln!(
             out,
             "steiner cache  : {} entries, {} hits / {} misses (hit rate {:.1}%), {} evictions",
@@ -144,11 +138,8 @@ impl ServiceStats {
         );
         let _ = writeln!(
             out,
-            "distance layer : {} provider, {} rows resident, {} row hits / {} row misses",
-            self.distance_provider,
-            self.distance_rows,
-            self.distance_row_hits,
-            self.distance_row_misses
+            "distance layer : {} rows resident, {} row misses",
+            self.distance_rows, self.distance_row_misses
         );
         let _ = writeln!(
             out,
@@ -217,7 +208,6 @@ mod tests {
             epoch: 0,
         };
         let s = ServiceStats::from_latencies(9, 1, 9, cache, &lat);
-        assert_eq!(s.apsp_builds, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.cache_evictions, 3);
         assert!((s.p50_ms - 5.0).abs() < 1e-9);
@@ -226,8 +216,7 @@ mod tests {
         let text = s.render();
         assert!(text.contains("hit rate 75.0%"));
         assert!(text.contains("3 evictions"));
-        assert!(text.contains("apsp builds    : 1"));
-        assert!(text.contains("distance layer : dense provider"));
+        assert!(text.contains("distance layer : 0 rows resident, 0 row misses"));
         assert!(
             !text.contains("link util"),
             "uncapacitated snapshots omit the link line"

@@ -98,10 +98,9 @@ mod tests {
     #[test]
     fn coast_to_coast_goes_through_the_middle() {
         let g = graph();
-        let apsp = g.all_pairs_shortest_paths().unwrap();
         let seattle = node_by_name("Seattle").unwrap();
         let ny = node_by_name("New York").unwrap();
-        let path = apsp.path(seattle, ny).unwrap();
+        let path = g.dijkstra(seattle).path_to(ny).unwrap();
         assert!(path.len() >= 4, "no coast-to-coast shortcut exists");
     }
 

@@ -12,7 +12,7 @@ use crate::settings::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use sft_core::{CoreError, MulticastTask, Network, Sfc, VnfCatalog, VnfId};
-use sft_graph::{generate::euclidean_er, Graph, NodeId};
+use sft_graph::{generate::euclidean_er, Graph, LazyDistances, NodeId};
 
 /// A generated experiment instance.
 #[derive(Clone, Debug)]
@@ -69,10 +69,7 @@ fn build_scenario(
 ) -> Result<Scenario, CoreError> {
     let n = graph.node_count();
     // l_G: the average shortest-path cost, Table I's cost normalizer.
-    let l_g = graph
-        .all_pairs_shortest_paths()?
-        .average_distance()
-        .max(1e-9);
+    let l_g = LazyDistances::new(&graph).average_distance().max(1e-9);
 
     let catalog = VnfCatalog::uniform(config.catalog_size);
     let mut builder = Network::builder(graph, catalog);
@@ -218,10 +215,7 @@ pub fn clustered(config: &ClusteredConfig, seed: u64) -> Result<Scenario, CoreEr
     let topo = sft_graph::generate::random_geometric(n, 0.20 * config.side, config.side, &mut rng)?;
     let pos = topo.positions.clone();
     let graph = topo.graph;
-    let l_g = graph
-        .all_pairs_shortest_paths()?
-        .average_distance()
-        .max(1e-9);
+    let l_g = LazyDistances::new(&graph).average_distance().max(1e-9);
 
     // Nearest node to an ideal planar point, excluding already-used nodes.
     let nearest = |p: (f64, f64), used: &[usize]| -> usize {

@@ -3,8 +3,6 @@
 //!
 //! * every embedding accepted under a budget actually meets it (the
 //!   validator agrees, on random latency-bearing Waxman instances);
-//! * dense and lazy distance backends produce identical delay-aware
-//!   results;
 //! * a structurally infeasible budget is refused with the structured
 //!   `delay_infeasible` taxonomy code and leaves the network and its
 //!   ledger byte-identical;
@@ -18,8 +16,8 @@ use rand::{RngExt, SeedableRng};
 use sft::core::ilp::IlpModel;
 use sft::core::validate::validate;
 use sft::core::{
-    solve_with_options, CoreError, DestinationRoute, DistanceMode, Embedding, MulticastTask,
-    Network, Sfc, SolveOptions, Strategy, VnfCatalog, VnfId,
+    solve_with_options, CoreError, DestinationRoute, Embedding, MulticastTask, Network, Sfc,
+    SolveOptions, Strategy, VnfCatalog, VnfId,
 };
 use sft::graph::{approx_le, generate, EdgeId, Graph, NodeId};
 use sft::lp::{MipConfig, MipStatus};
@@ -27,7 +25,7 @@ use sft::service::{EmbedService, ErrorCode, ServiceError};
 
 /// A connected Waxman instance whose every edge carries a random
 /// latency in `(0.1, 1.1)`, so delay and cost genuinely diverge.
-fn latency_waxman(n: usize, seed: u64, mode: DistanceMode) -> Network {
+fn latency_waxman(n: usize, seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
     let beta = 0.4;
     let degree = 2.0 * (n as f64).ln();
@@ -37,7 +35,6 @@ fn latency_waxman(n: usize, seed: u64, mode: DistanceMode) -> Network {
         g.set_edge_latency(e, Some(0.1 + rng.random::<f64>())).unwrap();
     }
     Network::builder(g, VnfCatalog::uniform(3))
-        .distance_mode(mode)
         .all_servers(3.0)
         .unwrap()
         .uniform_setup_cost(1.0)
@@ -75,7 +72,7 @@ proptest! {
         seed in 0u64..500,
         budget in 0.5f64..25.0,
     ) {
-        let network = latency_waxman(n, seed, DistanceMode::Auto);
+        let network = latency_waxman(n, seed);
         let task = task_for(n, seed, budget);
         match solve_with_options(&network, &task, Strategy::Msa, SolveOptions::default()) {
             Ok(r) => {
@@ -91,31 +88,6 @@ proptest! {
                 prop_assert!(achieved > b, "certificate must exceed the budget");
             }
             Err(e) => prop_assert!(false, "unexpected failure mode: {e}"),
-        }
-    }
-
-    /// The distance backend is an implementation detail under budgets
-    /// too: dense and lazy agree on the embedding, the cost, and the
-    /// achieved delay — or refuse with the same certificate.
-    #[test]
-    fn dense_and_lazy_agree_on_delay_aware_solves(
-        n in 12usize..24,
-        seed in 0u64..200,
-        budget in 0.5f64..25.0,
-    ) {
-        let dense = latency_waxman(n, seed, DistanceMode::Dense);
-        let lazy = latency_waxman(n, seed, DistanceMode::Lazy);
-        let task = task_for(n, seed, budget);
-        let a = solve_with_options(&dense, &task, Strategy::Msa, SolveOptions::default());
-        let b = solve_with_options(&lazy, &task, Strategy::Msa, SolveOptions::default());
-        match (a, b) {
-            (Ok(x), Ok(y)) => {
-                prop_assert_eq!(x.embedding, y.embedding);
-                prop_assert_eq!(x.cost.total(), y.cost.total());
-                prop_assert_eq!(x.max_path_delay, y.max_path_delay);
-            }
-            (Err(x), Err(y)) => prop_assert_eq!(x.to_string(), y.to_string()),
-            (a, b) => prop_assert!(false, "backends disagree: {a:?} vs {b:?}"),
         }
     }
 }
@@ -333,7 +305,7 @@ fn repair_network(n: usize, seed: u64, latency: Option<f64>) -> Network {
         let l = latency.unwrap_or_else(|| 0.1 + rng.random::<f64>());
         g.set_edge_latency(e, Some(l)).unwrap();
     }
-    let mut b = Network::builder(g, VnfCatalog::uniform(3)).distance_mode(DistanceMode::Lazy);
+    let mut b = Network::builder(g, VnfCatalog::uniform(3));
     for v in 0..n {
         if rng.random_range(0..2u32) == 0 {
             b = b.server(NodeId(v), 3.0).unwrap();

@@ -173,6 +173,5 @@ fn twenty_task_stream_reuses_the_cache_at_every_thread_count() {
         let stats = svc.stats();
         assert_eq!(stats.tasks_served, 20);
         assert!(stats.cache_hit_rate() > 0.0, "threads={threads}");
-        assert_eq!(stats.apsp_builds, 1);
     }
 }

@@ -13,7 +13,7 @@
 //!   live state bit-for-bit at any point, not just after full drain.
 
 use proptest::prelude::*;
-use sft::core::{DistanceMode, Network, VnfCatalog};
+use sft::core::{Network, VnfCatalog};
 use sft::graph::{Graph, NodeId};
 use sft::service::protocol::{parse_response, EmbedRequest, Request, RequestMode, ResponseBody};
 use sft::service::{serve, EmbedService, LedgerOp, ServerConfig, PROTOCOL_VERSION};
@@ -203,8 +203,7 @@ proptest! {
 }
 
 /// The same asymmetric ring with a uniform bandwidth capacity on every
-/// link and a lazy distance provider — the substrate for the
-/// edge-resource lifecycle contract below.
+/// link — the substrate for the edge-resource lifecycle contract below.
 fn bw_ring(capacity: f64, link_bw: f64) -> Network {
     let mut g = Graph::new(NODES);
     for i in 0..NODES {
@@ -217,7 +216,6 @@ fn bw_ring(capacity: f64, link_bw: f64) -> Network {
         .unwrap();
     }
     Network::builder(g, VnfCatalog::uniform(3))
-        .distance_mode(DistanceMode::Lazy)
         .all_servers(capacity)
         .unwrap()
         .uniform_setup_cost(2.0)
@@ -229,8 +227,8 @@ fn bw_ring(capacity: f64, link_bw: f64) -> Network {
 /// Non-negative residual on every link, live and replayed alike; the
 /// replay additionally pins edge usage (used bandwidth *and* session
 /// refcounts) bit-for-bit, and proves edge accounting never touches the
-/// distance layer: the replay network solves nothing, so its lazy
-/// provider must still hold zero materialized rows afterwards.
+/// distance layer: the replay network solves nothing, so its distance
+/// engine must still hold zero materialized rows afterwards.
 fn assert_bw_replay_identical(handle: &sft::service::ServerHandle, capacity: f64, link_bw: f64) {
     let live = handle.network();
     for e in live.graph().edge_ids() {
@@ -269,7 +267,7 @@ fn assert_bw_replay_identical(handle: &sft::service::ServerHandle, capacity: f64
     assert_eq!(
         replay.dist().rows_materialized(),
         0,
-        "pure delta replay must leave the lazy distance rows untouched"
+        "pure delta replay must leave the distance rows untouched"
     );
 }
 

@@ -12,7 +12,9 @@ use sft_core::{
 use sft_graph::{LazyDistances, NodeId};
 use sft_lp::{BackendChoice, MipConfig};
 use sft_service::protocol::{self, EmbedResponse, Request, RequestMode};
-use sft_service::{AdmissionConfig, BatchMode, EmbedService, ServerConfig, ServiceError};
+use sft_service::{
+    AdmissionConfig, BatchMode, CapacityLedger, EmbedService, ServerConfig, ServiceError,
+};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as IoWrite};
 use std::time::{Duration, Instant};
@@ -429,18 +431,17 @@ pub fn batch(args: &Args) -> Result<String, ParseError> {
 /// stream with a `draining` acknowledgement.
 ///
 /// Commits register sessions under their effective id (the request `id`,
-/// or the 1-based line number), and `{"op":"release","session":N}` tears
-/// the most recent live session with that id down again — the stdin
-/// channel speaks the same lifecycle as the socket server.
+/// or the 1-based line number) in a [`CapacityLedger`], and
+/// `{"op":"release","session":N}` tears the most recent live session with
+/// that id down again — the stdin channel speaks the same lifecycle, and
+/// keeps the same session table, as the socket server.
 pub fn serve_stream(
     svc: &mut EmbedService,
     reader: impl BufRead,
     writer: &mut impl IoWrite,
     default_mode: RequestMode,
 ) -> std::io::Result<()> {
-    // Session id → stack of still-live commit deltas (wire ids may repeat).
-    let mut sessions: std::collections::BTreeMap<u64, Vec<sft_core::CommitDelta>> =
-        std::collections::BTreeMap::new();
+    let ledger = CapacityLedger::new(svc.network());
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -461,26 +462,22 @@ pub fn serve_stream(
             }
             Ok(Request::Release { id, session, .. }) => {
                 let id = id.or(line_id);
-                match sessions.get_mut(&session) {
-                    None => EmbedResponse::failure(id, &ServiceError::UnknownSession { session }),
-                    Some(stack) => match stack.pop() {
-                        None => {
-                            EmbedResponse::failure(id, &ServiceError::AlreadyReleased { session })
-                        }
-                        Some(delta) => match svc.apply_release(&delta) {
-                            Ok(freed) => {
-                                let held = delta.deploys().len() + delta.refs().len();
-                                EmbedResponse::released(
-                                    id,
-                                    session,
-                                    freed.iter().map(|&(f, v)| (f.0, v.0)).collect(),
-                                    held - freed.len(),
-                                    delta.total_bandwidth(),
-                                )
-                            }
-                            Err(e) => EmbedResponse::failure(id, &e),
-                        },
-                    },
+                let released = ledger.release_usage(session).and_then(|usage| {
+                    let freed = svc.apply_release(&usage)?;
+                    ledger
+                        .confirm_release(session)
+                        .expect("a session release_usage resolved cannot fail to confirm");
+                    Ok((usage, freed))
+                });
+                match released {
+                    Ok((usage, freed)) => EmbedResponse::released(
+                        id,
+                        session,
+                        freed.iter().map(|&(f, v)| (f.0, v.0)).collect(),
+                        usage.deploys().len() + usage.refs().len() - freed.len(),
+                        usage.total_bandwidth(),
+                    ),
+                    Err(e) => EmbedResponse::failure(id, &e),
                 }
             }
             Ok(Request::Embed(req)) => {
@@ -496,9 +493,7 @@ pub fn serve_stream(
                                     let delta =
                                         svc.network().commit_delta(&task, &result.embedding);
                                     svc.apply_commit(&delta)?;
-                                    if let Some(session) = id {
-                                        sessions.entry(session).or_default().push(delta);
-                                    }
+                                    ledger.confirm(id, &delta);
                                     Ok(result)
                                 })
                             }
@@ -898,7 +893,10 @@ mod tests {
         assert!(err.0.contains("delay budget"), "{err}");
         assert!(run(&format!("{base} --delay-budget -3")).is_err());
         assert!(run(&format!("{base} --delay-budget never")).is_err());
-        assert!(run("solve --topology grid:3x4 --link-latency bad --source 0 --dests 7 --sfc 1").is_err());
+        assert!(
+            run("solve --topology grid:3x4 --link-latency bad --source 0 --dests 7 --sfc 1")
+                .is_err()
+        );
     }
 
     #[test]

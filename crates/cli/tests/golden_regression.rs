@@ -85,12 +85,8 @@ fn batch_output_is_byte_identical_to_the_pre_refactor_anchor() {
 /// and a structurally impossible budget is refused as `delay_infeasible`.
 #[test]
 fn delay_budget_requests_only_append_the_achieved_delay() {
-    let svc = EmbedService::new(
-        palmetto_network(),
-        Strategy::Msa,
-        SolveOptions::default(),
-    )
-    .unwrap();
+    let svc =
+        EmbedService::new(palmetto_network(), Strategy::Msa, SolveOptions::default()).unwrap();
     let mut handle = sft_service::serve(svc, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.local_addr().unwrap();
 
@@ -123,7 +119,10 @@ fn delay_budget_requests_only_append_the_achieved_delay() {
         };
         assert_eq!(&stripped, w, "more than max_path_delay drifted");
         if w.contains("\"status\":\"ok\"") {
-            assert!(g.contains("\"max_path_delay\":"), "budgeted ok lines report the delay: {g}");
+            assert!(
+                g.contains("\"max_path_delay\":"),
+                "budgeted ok lines report the delay: {g}"
+            );
         }
     }
 

@@ -14,7 +14,7 @@ use crate::opa;
 use crate::task::MulticastTask;
 use crate::CoreError;
 use rand::Rng;
-use sft_graph::{approx_le, CancelToken, EdgeId, Graph, NodeId, Parallelism, TreeCache};
+use sft_graph::{approx_le, CancelToken, EdgeId, Graph, NodeId, Parallelism, SteinerCache};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -201,12 +201,12 @@ pub fn solve_with_options(
 /// # Errors
 ///
 /// Same conditions as [`solve`].
-pub fn solve_with_cache<C: TreeCache>(
+pub fn solve_with_cache(
     network: &Network,
     task: &MulticastTask,
     strategy: Strategy,
     options: SolveOptions,
-    cache: &C,
+    cache: &SteinerCache,
 ) -> Result<SolveResult, CoreError> {
     if let Some(view) = network.bandwidth_view(task.bandwidth())? {
         // The shared cache keys trees by the *original* topology; the

@@ -227,7 +227,9 @@ impl IlpModel {
             for d in 0..nd {
                 let terms: Vec<(VarId, f64)> = (0..=k)
                     .flat_map(|j| {
-                        arcs.iter().enumerate().map(move |(ai, &(_, _, e))| (j, ai, e))
+                        arcs.iter()
+                            .enumerate()
+                            .map(move |(ai, &(_, _, e))| (j, ai, e))
                     })
                     .map(|(j, ai, e)| (tau[&(d, j, ai)], graph.effective_latency(e)))
                     .collect();

@@ -82,7 +82,7 @@ pub use embedding::{DestinationRoute, Embedding};
 pub use error::CoreError;
 pub use network::{CommitDelta, Network, NetworkBuilder};
 pub use sequential::SequentialEmbedder;
-pub use sft_graph::{CancelToken, EdgeId, LazyDistances, Parallelism, SteinerCache, TreeCache};
+pub use sft_graph::{CancelToken, EdgeId, LazyDistances, Parallelism, SteinerCache};
 pub use sft_tree::{SftNode, SftTree};
 pub use stats::EmbeddingStats;
 pub use task::MulticastTask;

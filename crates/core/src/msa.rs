@@ -25,7 +25,7 @@ use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
 use sft_graph::parallel::Parallelism;
-use sft_graph::{CancelToken, NodeId, SteinerCache, SteinerTree, TreeCache};
+use sft_graph::{CancelToken, NodeId, SteinerCache, SteinerTree};
 use std::collections::BTreeMap;
 
 /// Which Steiner-tree construction stage 1 hangs off the last VNF node.
@@ -111,7 +111,7 @@ pub fn stage_one_cancellable(
     _parallelism: Parallelism,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
-    sweep::<SteinerCache>(network, task, method, None, cancel)
+    sweep(network, task, method, None, cancel)
 }
 
 /// Runs MSA stage 1 against a persistent, externally owned Steiner cache.
@@ -134,12 +134,12 @@ pub fn stage_one_cancellable(
 /// # Errors
 ///
 /// Same conditions as [`stage_one`].
-pub fn stage_one_with_cache<C: TreeCache>(
+pub fn stage_one_with_cache(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
     parallelism: Parallelism,
-    cache: &C,
+    cache: &SteinerCache,
 ) -> Result<ChainSolution, CoreError> {
     stage_one_with_cache_cancellable(network, task, method, parallelism, cache, None)
 }
@@ -151,12 +151,12 @@ pub fn stage_one_with_cache<C: TreeCache>(
 ///
 /// [`CoreError::Cancelled`] when `cancel` trips mid-solve, plus the same
 /// conditions as [`stage_one`].
-pub fn stage_one_with_cache_cancellable<C: TreeCache>(
+pub fn stage_one_with_cache_cancellable(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
     _parallelism: Parallelism,
-    cache: &C,
+    cache: &SteinerCache,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
     sweep(network, task, method, Some(cache), cancel)
@@ -183,11 +183,11 @@ struct Decoded {
 /// equals it at a higher row. The incumbent changes on a lower cost, or on
 /// an equal cost at a lower row, so the winner is the exhaustive sweep's
 /// lowest-row minimum.
-fn sweep<C: TreeCache>(
+fn sweep(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
-    shared: Option<&C>,
+    shared: Option<&SteinerCache>,
     cancel: Option<&CancelToken>,
 ) -> Result<ChainSolution, CoreError> {
     if let Some(token) = cancel {
@@ -275,15 +275,7 @@ pub fn stage_one_candidates(
     let mut out = Vec::new();
     for row in 0..emod.servers().len() {
         if let Some(candidate) = evaluate_candidate(
-            network,
-            task,
-            method,
-            &emod,
-            &loads,
-            &mut local,
-            None::<&SteinerCache>,
-            None,
-            row,
+            network, task, method, &emod, &loads, &mut local, None, None, row,
         ) {
             out.push(candidate);
         }
@@ -357,13 +349,13 @@ fn lower_bound(
 /// persistent cache is plugged in and through the per-solve `local` map
 /// otherwise; `None` entries record roots whose tree construction failed
 /// (e.g. disconnected from some destination).
-fn tree_for<C: TreeCache>(
+fn tree_for(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
     w: NodeId,
     local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
-    shared: Option<&C>,
+    shared: Option<&SteinerCache>,
     cancel: Option<&CancelToken>,
 ) -> Option<SteinerTree> {
     match shared {
@@ -393,14 +385,14 @@ fn tree_for<C: TreeCache>(
 /// capacity repair, Steiner tree, closed-form cost. Returns `None` when
 /// the row yields no feasible embedding.
 #[allow(clippy::too_many_arguments)]
-fn evaluate_candidate<C: TreeCache>(
+fn evaluate_candidate(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
     emod: &ExpandedMod,
     loads: &LoadSnapshot,
     local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
-    shared: Option<&C>,
+    shared: Option<&SteinerCache>,
     cancel: Option<&CancelToken>,
     row: usize,
 ) -> Option<(f64, ChainSolution)> {
@@ -691,7 +683,7 @@ mod tests {
             &emod,
             &loads,
             &mut warm,
-            None::<&SteinerCache>,
+            None,
             None,
             0,
         )
@@ -773,15 +765,7 @@ mod tests {
                     let w = *decoded.placement.last().unwrap();
                     let bound = lower_bound(&net, &task, decoded.chain, w, None).unwrap();
                     let (cost, _) = evaluate_candidate(
-                        &net,
-                        &task,
-                        method,
-                        &emod,
-                        &loads,
-                        &mut local,
-                        None::<&SteinerCache>,
-                        None,
-                        row,
+                        &net, &task, method, &emod, &loads, &mut local, None, None, row,
                     )
                     .unwrap();
                     assert!(bound <= cost, "case {case} row {row}: {bound} > {cost}");

@@ -146,7 +146,8 @@ impl CommitDelta {
 /// shared [`LazyDistances`] engine over the link-connection costs.
 #[derive(Clone, Debug)]
 pub struct Network {
-    graph: Graph,
+    /// Immutable after build, so clones share it like `dist`.
+    graph: Arc<Graph>,
     dist: Arc<LazyDistances>,
     servers: Vec<bool>,
     capacity: Vec<f64>,
@@ -275,16 +276,6 @@ impl Network {
         self.servers().map(|v| self.residual_capacity(v)).sum()
     }
 
-    /// The largest single-server residual capacity. An instance can only
-    /// be placed whole, so a task whose biggest undeployed VNF demand
-    /// exceeds this cannot be embedded no matter how much total capacity
-    /// remains.
-    pub fn max_residual_capacity(&self) -> f64 {
-        self.servers()
-            .map(|v| self.residual_capacity(v))
-            .fold(0.0, f64::max)
-    }
-
     /// Residual bandwidth of an edge: its capacity minus the bandwidth
     /// committed by live sessions, or `f64::INFINITY` for uncapacitated
     /// edges.
@@ -317,19 +308,6 @@ impl Network {
             .filter(|&i| self.edge_sessions[i] > 0)
             .map(|i| (EdgeId(i), self.edge_used[i], self.edge_sessions[i]))
             .collect()
-    }
-
-    /// The largest single-edge residual bandwidth across the whole
-    /// topology (`f64::INFINITY` when any edge is uncapacitated). Any
-    /// feasible session routes over at least one edge, so a bandwidth
-    /// demand exceeding this bound cannot be embedded — the sound
-    /// admission lower bound for links, mirroring
-    /// [`Network::max_residual_capacity`] for nodes.
-    pub fn max_edge_residual(&self) -> f64 {
-        self.graph
-            .edge_ids()
-            .map(|e| self.edge_residual(e))
-            .fold(0.0, f64::max)
     }
 
     /// A filtered copy of the network for solving a task with bandwidth
@@ -374,7 +352,7 @@ impl Network {
         let edge_count = filtered.edge_count();
         Ok(Some(Network {
             dist: Arc::new(LazyDistances::new(&filtered)),
-            graph: filtered,
+            graph: Arc::new(filtered),
             servers: self.servers.clone(),
             capacity: self.capacity.clone(),
             catalog: self.catalog.clone(),
@@ -402,9 +380,9 @@ impl Network {
     }
 
     /// The largest per-instance demand among the task's chain types that
-    /// are deployed nowhere (0.0 when every type is reusable). Compare
-    /// against [`Network::max_residual_capacity`]: each new instance must
-    /// fit on a single server.
+    /// are deployed nowhere (0.0 when every type is reusable). Each new
+    /// instance must fit on a single server, so admission compares this
+    /// against the largest server residual.
     pub fn max_new_instance_demand(&self, task: &crate::task::MulticastTask) -> f64 {
         self.undeployed_chain_types(task)
             .map(|f| self.catalog.demand(f))
@@ -420,7 +398,7 @@ impl Network {
         self.catalog
             .ids()
             .filter(|&f| task.sfc().stages().contains(&f))
-            .filter(|&f| !(0..self.node_count()).any(|v| self.deployed[f.0][v] > 0))
+            .filter(|&f| !self.deployed[f.0].iter().any(|&refs| refs > 0))
     }
 
     /// Whether an instance of `f` is already deployed on `v` (`π_{f,v}`).
@@ -977,7 +955,7 @@ impl NetworkBuilder {
         Ok(Network {
             reroute: Arc::new(RerouteTrees::new(servers)),
             dist: Arc::new(LazyDistances::new(&self.graph)),
-            graph: self.graph,
+            graph: Arc::new(self.graph),
             servers: self.servers,
             capacity: self.capacity,
             catalog: self.catalog,
@@ -1277,7 +1255,6 @@ mod tests {
             .unwrap();
         // 4 servers x 2.0 capacity, one unit instance deployed.
         assert!((net.total_residual_capacity() - 7.0).abs() < 1e-12);
-        assert_eq!(net.max_residual_capacity(), 2.0);
         let task = MulticastTask::new(
             NodeId(0),
             vec![NodeId(3)],
@@ -1324,7 +1301,6 @@ mod tests {
             .unwrap();
         let e = EdgeId(0);
         assert_eq!(net.edge_residual(e), 10.0);
-        assert_eq!(net.max_edge_residual(), 10.0);
 
         // Two sessions share the link; the second uses a value whose sum
         // is not exactly representable, to exercise the snap-to-zero.
@@ -1408,7 +1384,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(net.edge_residual(EdgeId(0)), f64::INFINITY);
-        assert_eq!(net.max_edge_residual(), f64::INFINITY);
         let d = CommitDelta::with_usage(Vec::new(), Vec::new(), vec![(EdgeId(0), 1e12)]);
         net.apply_delta(&d).unwrap();
         assert_eq!(net.edge_residual(EdgeId(0)), f64::INFINITY);

@@ -64,54 +64,15 @@ impl CacheStats {
     }
 }
 
-/// Interface for shared Steiner-tree caches.
-///
-/// Implementations must be safe to consult from parallel solver workers
-/// (`Sync`); the provided [`TreeCache::get_or_insert_with`] is the usual
-/// entry point. Because values are pure functions of their key, a racy
-/// double-compute is benign: both racers produce identical trees.
-pub trait TreeCache: Sync {
-    /// Returns the cached outcome for `(root, terminals)`: `Some(outcome)`
-    /// on a hit (where the outcome itself may be a recorded failure),
-    /// `None` on a miss.
-    fn lookup(&self, root: NodeId, terminals: &[NodeId]) -> Option<Option<SteinerTree>>;
-
-    /// Stores the outcome for `(root, terminals)`.
-    fn store(&self, root: NodeId, terminals: &[NodeId], tree: Option<SteinerTree>);
-
-    /// Drops every entry. Owners call this when the underlying graph
-    /// changes; see the module docs for what does *not* require it.
-    fn invalidate(&self);
-
-    /// Looks up `(root, terminals)`, computing and storing the outcome via
-    /// `build` on a miss.
-    fn get_or_insert_with<F>(
-        &self,
-        root: NodeId,
-        terminals: &[NodeId],
-        build: F,
-    ) -> Option<SteinerTree>
-    where
-        F: FnOnce() -> Option<SteinerTree>,
-        Self: Sized,
-    {
-        if let Some(cached) = self.lookup(root, terminals) {
-            return cached;
-        }
-        let tree = build();
-        self.store(root, terminals, tree.clone());
-        tree
-    }
-}
-
 /// A mutex-protected `(root, terminals) -> Option<SteinerTree>` map with
 /// hit/miss/eviction counters, an invalidation epoch, and an optional
 /// capacity bound enforced by CLOCK eviction.
 ///
 /// This is the cache a long-running embedding service shares across
-/// requests and across parallel sweep workers. Contention is modest by
-/// construction: workers hold the lock only for a map probe or insert,
-/// never while building a tree.
+/// requests and worker threads. Contention is modest by construction:
+/// workers hold the lock only for a map probe or insert, never while
+/// building a tree. Because values are pure functions of their key, a
+/// racy double-compute is benign: both racers produce identical trees.
 #[derive(Debug, Default)]
 pub struct SteinerCache {
     entries: Mutex<CacheInner>,
@@ -223,10 +184,11 @@ impl SteinerCache {
             epoch: self.epoch(),
         }
     }
-}
 
-impl TreeCache for SteinerCache {
-    fn lookup(&self, root: NodeId, terminals: &[NodeId]) -> Option<Option<SteinerTree>> {
+    /// Returns the cached outcome for `(root, terminals)`: `Some(outcome)`
+    /// on a hit (where the outcome itself may be a recorded failure),
+    /// `None` on a miss.
+    pub fn lookup(&self, root: NodeId, terminals: &[NodeId]) -> Option<Option<SteinerTree>> {
         let key = (root, terminals.to_vec());
         let mut inner = self.entries.lock().expect("cache lock poisoned");
         match inner.map.get_mut(&key) {
@@ -243,7 +205,8 @@ impl TreeCache for SteinerCache {
         }
     }
 
-    fn store(&self, root: NodeId, terminals: &[NodeId], tree: Option<SteinerTree>) {
+    /// Stores the outcome for `(root, terminals)`.
+    pub fn store(&self, root: NodeId, terminals: &[NodeId], tree: Option<SteinerTree>) {
         let key = (root, terminals.to_vec());
         let mut inner = self.entries.lock().expect("cache lock poisoned");
         if let Some(slot) = inner.map.get_mut(&key) {
@@ -286,7 +249,9 @@ impl TreeCache for SteinerCache {
         }
     }
 
-    fn invalidate(&self) {
+    /// Drops every entry. Owners call this when the underlying graph
+    /// changes; see the module docs for what does *not* require it.
+    pub fn invalidate(&self) {
         let mut inner = self.entries.lock().expect("cache lock poisoned");
         inner.map.clear();
         inner.ring.clear();
@@ -301,6 +266,25 @@ impl TreeCache for SteinerCache {
         // accesses themselves, but not the unlocked epoch read against
         // them.
         self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// Looks up `(root, terminals)`, computing and storing the outcome via
+    /// `build` on a miss.
+    pub fn get_or_insert_with<F>(
+        &self,
+        root: NodeId,
+        terminals: &[NodeId],
+        build: F,
+    ) -> Option<SteinerTree>
+    where
+        F: FnOnce() -> Option<SteinerTree>,
+    {
+        if let Some(cached) = self.lookup(root, terminals) {
+            return cached;
+        }
+        let tree = build();
+        self.store(root, terminals, tree.clone());
+        tree
     }
 }
 

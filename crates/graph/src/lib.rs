@@ -60,7 +60,7 @@ pub mod steiner;
 pub mod tree;
 pub mod union_find;
 
-pub use cache::{CacheStats, SteinerCache, TreeCache};
+pub use cache::{CacheStats, SteinerCache};
 pub use cancel::{CancelToken, Cancelled};
 pub use dijkstra::ShortestPaths;
 pub use error::GraphError;

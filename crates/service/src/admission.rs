@@ -66,22 +66,49 @@ impl Default for AdmissionConfig {
 /// pair, or [`ServiceError::InsufficientBandwidth`] when the bandwidth
 /// bound is the one violated (same `insufficient_capacity` wire code).
 pub fn check_capacity(network: &Network, task: &MulticastTask) -> Result<(), ServiceError> {
+    check_capacity_with_credit(network, task, &[], &[])
+}
+
+/// [`check_capacity`] against residuals widened by capacity that queued
+/// releases are about to give back: `node_credit[v]` on node `v` and
+/// `edge_credit[e]` on edge `e`, with an index past the end of either
+/// slice crediting nothing. Credit only widens the bounds, so the check
+/// stays sound.
+pub(crate) fn check_capacity_with_credit(
+    network: &Network,
+    task: &MulticastTask,
+    node_credit: &[f64],
+    edge_credit: &[f64],
+) -> Result<(), ServiceError> {
+    let credit = |credits: &[f64], i: usize| credits.get(i).copied().unwrap_or(0.0);
     let demand = network.min_new_demand(task);
-    let remaining = network.total_residual_capacity();
-    if numeric::exceeds(demand, remaining) {
-        return Err(ServiceError::InsufficientCapacity { demand, remaining });
-    }
-    let unit = network.max_new_instance_demand(task);
-    let best = network.max_residual_capacity();
-    if numeric::exceeds(unit, best) {
-        return Err(ServiceError::InsufficientCapacity {
-            demand: unit,
-            remaining: best,
-        });
+    // With no new demand to place, neither node bound can trip: skip the
+    // server scan.
+    if demand > 0.0 {
+        let residuals: Vec<f64> = network
+            .servers()
+            .map(|v| network.residual_capacity(v) + credit(node_credit, v.0))
+            .collect();
+        let remaining: f64 = residuals.iter().sum();
+        if numeric::exceeds(demand, remaining) {
+            return Err(ServiceError::InsufficientCapacity { demand, remaining });
+        }
+        let unit = network.max_new_instance_demand(task);
+        let best = residuals.iter().copied().fold(0.0, f64::max);
+        if numeric::exceeds(unit, best) {
+            return Err(ServiceError::InsufficientCapacity {
+                demand: unit,
+                remaining: best,
+            });
+        }
     }
     let bandwidth = task.bandwidth();
     if bandwidth > 0.0 {
-        let widest = network.max_edge_residual();
+        let widest = network
+            .graph()
+            .edge_ids()
+            .map(|e| network.edge_residual(e) + credit(edge_credit, e.0))
+            .fold(0.0, f64::max);
         if numeric::exceeds(bandwidth, widest) {
             return Err(ServiceError::InsufficientBandwidth {
                 demand: bandwidth,

@@ -13,19 +13,19 @@
 //!    commit solves — no write lock is held during the solve.
 //! 2. **Validate.** Under the write lock, [`CapacityLedger::validate`]
 //!    re-checks that (a) the request's deadline has not expired and
-//!    (b) no committed transaction has touched any node the delta deploys
-//!    onto since the snapshot (per-node version vector). Residual
-//!    capacity is re-checked by [`sft_core::Network::apply_delta`] against
-//!    the authoritative network in the same critical section, so the
-//!    capacity arithmetic is never duplicated in floating point.
+//!    (b) no committed transaction has touched any node or edge the delta
+//!    uses since the snapshot (per-node and per-edge version vectors).
+//!    Residual capacity is re-checked by [`Network::apply_delta`] against
+//!    the authoritative network in the same critical section.
 //! 3. **Confirm.** [`CapacityLedger::confirm`] bumps the sequence number
-//!    and the touched nodes' versions, updates the residual mirror the
-//!    admission layer reads, and appends the *effective* delta to the
-//!    commit log.
+//!    and the versions of the nodes that gained an instance and the edges
+//!    that were charged, applies the delta to the ledger's own copy of the
+//!    network, and appends the *effective* delta to the commit log.
 //!
 //! Rejections at step 2 mutate nothing: an expired deadline surfaces as
 //! `deadline_exceeded`, a version conflict sends the worker back to
-//! re-solve against the new state (bounded retry budget, then `conflict`).
+//! re-solve against the new state (bounded retry budget, then one attempt
+//! under the write lock).
 //!
 //! The commit log is the determinism contract: serially replaying the
 //! recorded deltas in sequence order — [`Network::apply_delta`] for
@@ -35,30 +35,26 @@
 //! bit-for-bit (`tests/commit_storm.rs` and `tests/session_lifecycle.rs`
 //! check exactly this under racing workers).
 //!
-//! **Sessions.** A confirmed commit carrying a wire id registers a live
-//! *session*: the full usage delta (new deploys + pinned reuses) it
-//! holds. [`CapacityLedger::release_usage`] looks the session up for the
-//! release path, and [`CapacityLedger::confirm_release`] retires it,
-//! giving back one reference per used pair. Because the mirror reference
-//! counts instances exactly like [`Network`] does, an instance shared
-//! with another live session survives and only last-reference drops free
-//! residual capacity — naive subtraction would corrupt the mirror the
-//! admission layer reads.
+//! **The copy.** The ledger keeps a private [`Network`] clone, changed
+//! only by [`Network::apply_delta`] in [`CapacityLedger::confirm_with_task`]
+//! and [`Network::apply_release`] in [`CapacityLedger::confirm_release`] —
+//! the same calls, in the same order, the owner makes on its own network
+//! under its write lock. So the copy holds exactly the owner's refcounts,
+//! residuals and edge loads, and admission ([`CapacityLedger::check_capacity`])
+//! reads it without any lock on the service, through the one
+//! implementation of the bounds in [`crate::admission`].
 //!
-//! **Bandwidth.** Edge bandwidth rides the same cycle as node capacity:
-//! the mirror keeps per-edge residuals, session counts and a per-edge
-//! version vector next to the per-node ones. A commit whose delta charges
-//! an edge a later transaction also charged conflicts exactly like a
-//! node-version conflict ([`CommitRejection::ConflictEdge`]), the session
-//! remembers its edge charges so a release gives the bandwidth back
-//! refcount-style (the last session on an edge snaps its usage to exactly
-//! zero), and the admission bound learns a sound lower bound: a task
-//! demanding more bandwidth than the widest residual edge (plus queued
-//! release credit) cannot route at all.
+//! **Sessions.** A confirmed commit carrying a wire id registers a live
+//! *session*: the full usage delta (new deploys + pinned reuses + edge
+//! charges) it holds. [`CapacityLedger::release_usage`] looks the session
+//! up for the release path, and [`CapacityLedger::confirm_release`]
+//! retires it, giving back one reference per used pair and every edge
+//! charge: an instance or link shared with another live session survives,
+//! and only last-reference drops free capacity.
 
+use crate::admission;
 use crate::service::ServiceError;
 use sft_core::{CommitDelta, MulticastTask, Network, VnfId};
-use sft_graph::numeric;
 use sft_graph::{EdgeId, NodeId};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -139,9 +135,10 @@ impl CommitRecord {
     }
 }
 
-/// Per-node residuals and versions mirroring one [`Network`], plus the
-/// commit log. All access goes through one short-held mutex; the ledger
-/// never takes the service lock, so lock order is always service → ledger.
+/// Version vectors, sessions and the commit log over a private copy of
+/// one [`Network`]. All access goes through one short-held mutex; the
+/// ledger never takes the service lock, so lock order is always service →
+/// ledger.
 #[derive(Debug)]
 pub struct CapacityLedger {
     inner: Mutex<Inner>,
@@ -150,12 +147,9 @@ pub struct CapacityLedger {
 /// A committed session's full usage, for the release path.
 #[derive(Clone, Debug)]
 struct Session {
-    /// Pairs charged as new instances at commit time.
-    deploys: Vec<(VnfId, NodeId)>,
-    /// Pairs pinned by reuse at commit time.
-    refs: Vec<(VnfId, NodeId)>,
-    /// `(edge, bandwidth)` charges the session holds on the wire.
-    edges: Vec<(EdgeId, f64)>,
+    /// What the session holds — its commit's effective deploy/ref split
+    /// and edge charges — and so the delta its release gives back.
+    usage: CommitDelta,
     /// False once released; a session releases exactly once.
     live: bool,
     /// The task the session embeds, when the commit path supplied it —
@@ -170,29 +164,11 @@ struct Inner {
     /// `node_version[v]` = seq of the last transaction that changed `v`'s
     /// capacity (a new instance deployed or a last reference freed).
     node_version: Vec<u64>,
-    /// Residual capacity mirror, for admission reads without any lock on
-    /// the service.
-    residual: Vec<f64>,
-    is_server: Vec<bool>,
-    /// Per-VNF-type resource demand (`μ_f`).
-    demand: Vec<f64>,
-    /// Live instances per VNF type anywhere in the network — the reuse
-    /// bound the admission check needs.
-    instances: Vec<u64>,
-    /// `refcount[f][v]` mirror of [`Network::refcount`]: live references
-    /// per instance, counting the builder's pinned pre-deployments.
-    refcount: Vec<Vec<u32>>,
     /// `edge_version[e]` = seq of the last transaction that moved
     /// bandwidth on edge `e` — the edge half of the version vector.
     edge_version: Vec<u64>,
-    /// Per-edge bandwidth capacity (`f64::INFINITY` = uncapacitated).
-    edge_capacity: Vec<f64>,
-    /// Committed bandwidth per edge, mirroring [`Network::edge_usage`].
-    edge_used: Vec<f64>,
-    /// Live sessions charging each edge; the last release snaps
-    /// `edge_used` to exactly zero, mirroring the network's refcount
-    /// discipline.
-    edge_sessions: Vec<u32>,
+    /// The owner's network as of the last confirmed transaction.
+    network: Network,
     /// Committed sessions by wire id. Ids may repeat across clients, so
     /// each id keys a stack of sessions; a release targets the most
     /// recent live one.
@@ -200,8 +176,8 @@ struct Inner {
     /// Capacity about to come back: per-node credit for release jobs
     /// queued ahead of the worker pool, keyed by session id. The
     /// admission bound adds these so feasible work arriving right behind
-    /// a teardown is not bounced off a residual mirror the queued release
-    /// is about to refill.
+    /// a teardown is not bounced off residuals the queued release is
+    /// about to refill.
     pending_release: BTreeMap<u64, Vec<(usize, f64)>>,
     /// Bandwidth about to come back: per-edge credit for queued release
     /// jobs, the link analogue of `pending_release`.
@@ -209,51 +185,42 @@ struct Inner {
     log: Vec<CommitRecord>,
 }
 
+impl Inner {
+    /// The most recent live session under `session`.
+    fn live_session(&mut self, session: u64) -> Result<&mut Session, ServiceError> {
+        self.sessions
+            .get_mut(&session)
+            .ok_or(ServiceError::UnknownSession { session })?
+            .iter_mut()
+            .rev()
+            .find(|s| s.live)
+            .ok_or(ServiceError::AlreadyReleased { session })
+    }
+}
+
+/// Per-session credits summed per index into a `len`-long vector; empty
+/// when no queued release credits anything.
+fn summed_credit(credits: &BTreeMap<u64, Vec<(usize, f64)>>, len: usize) -> Vec<f64> {
+    if credits.values().all(Vec::is_empty) {
+        return Vec::new();
+    }
+    let mut total = vec![0.0; len];
+    for &(i, c) in credits.values().flatten() {
+        total[i] += c;
+    }
+    total
+}
+
 impl CapacityLedger {
-    /// A ledger mirroring `network`'s current servers, residuals and
+    /// A ledger over a copy of `network`'s current servers, residuals and
     /// deployments, with an empty commit log.
     pub fn new(network: &Network) -> Self {
-        let n = network.node_count();
-        let catalog = network.catalog();
-        let refcount: Vec<Vec<u32>> = catalog
-            .ids()
-            .map(|f| (0..n).map(|v| network.refcount(f, NodeId(v))).collect())
-            .collect();
-        let instances = refcount
-            .iter()
-            .map(|row| row.iter().filter(|&&d| d > 0).count() as u64)
-            .collect();
-        let graph = network.graph();
-        let edge_capacity: Vec<f64> = graph
-            .edge_ids()
-            .map(|e| graph.edge_capacity(e).unwrap_or(f64::INFINITY))
-            .collect();
-        let edge_used: Vec<f64> = graph
-            .edge_ids()
-            .map(|e| match graph.edge_capacity(e) {
-                Some(cap) => cap - network.edge_residual(e),
-                None => 0.0,
-            })
-            .collect();
-        let edge_sessions: Vec<u32> = graph
-            .edge_ids()
-            .map(|e| network.edge_session_count(e))
-            .collect();
         CapacityLedger {
             inner: Mutex::new(Inner {
                 seq: 0,
-                node_version: vec![0; n],
-                residual: (0..n)
-                    .map(|v| network.residual_capacity(NodeId(v)))
-                    .collect(),
-                is_server: (0..n).map(|v| network.is_server(NodeId(v))).collect(),
-                demand: catalog.ids().map(|f| catalog.demand(f)).collect(),
-                instances,
-                refcount,
-                edge_version: vec![0; edge_capacity.len()],
-                edge_capacity,
-                edge_used,
-                edge_sessions,
+                node_version: vec![0; network.node_count()],
+                edge_version: vec![0; network.graph().edge_count()],
+                network: network.clone(),
                 sessions: BTreeMap::new(),
                 pending_release: BTreeMap::new(),
                 pending_release_bw: BTreeMap::new(),
@@ -263,8 +230,9 @@ impl CapacityLedger {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        // Ledger updates are tiny flag/counter flips; a panic cannot leave
-        // them half-applied, so a poisoned mutex is safe to keep using.
+        // Every mutation checks before it writes (`apply_delta` and
+        // `apply_release` are all-or-nothing), so a panic cannot leave the
+        // state half-applied and a poisoned mutex is safe to keep using.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -314,10 +282,10 @@ impl CapacityLedger {
     }
 
     /// Step 3 of a commit: records `delta` as the next transaction after
-    /// the network apply succeeded (same write-lock critical section),
-    /// adding one mirror reference per used pair. When the delta carries
-    /// a wire id, the session it opens is registered for later release.
-    /// Returns the assigned sequence number.
+    /// the network apply succeeded (same write-lock critical section) and
+    /// applies it to the ledger's copy. When the delta carries a wire id,
+    /// the session it opens is registered for later release. Returns the
+    /// assigned sequence number.
     pub fn confirm(&self, id: Option<u64>, delta: &CommitDelta) -> u64 {
         self.confirm_with_task(id, delta, None)
     }
@@ -325,46 +293,43 @@ impl CapacityLedger {
     /// [`CapacityLedger::confirm`], additionally remembering the task the
     /// session embeds so [`CapacityLedger::live_session_tasks`] can offer
     /// it to the defragmentation pass.
+    ///
+    /// # Panics
+    ///
+    /// If the copy rejects `delta`: the owner just applied the same delta
+    /// to an identical network, so the two have drifted apart.
     pub fn confirm_with_task(
         &self,
         id: Option<u64>,
         delta: &CommitDelta,
         task: Option<MulticastTask>,
     ) -> u64 {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        // A pair with no live instance is charged as a new one, whichever
+        // side of the delta it sits on; a reuse moves no capacity, so it
+        // never stales anyone else's snapshot.
+        let (deploys, refs): (Vec<_>, Vec<_>) = delta
+            .usage()
+            .partition(|&(f, v)| !inner.network.is_deployed(f, v));
+        inner
+            .network
+            .apply_delta(delta)
+            .expect("the ledger's copy accepts every delta its owner applied");
         inner.seq += 1;
         let seq = inner.seq;
-        let mut deploys = Vec::new();
-        let mut refs = Vec::new();
-        for (f, v) in delta.usage() {
-            if inner.refcount[f.0][v.0] == 0 {
-                // A genuinely new instance: charge capacity, version-bump.
-                inner.instances[f.0] += 1;
-                inner.residual[v.0] -= inner.demand[f.0];
-                inner.node_version[v.0] = seq;
-                deploys.push((f, v));
-            } else {
-                // Reused instance: free, reference-only. Capacity did not
-                // move, so the node version stays — a reuse never stales
-                // anyone else's snapshot.
-                refs.push((f, v));
-            }
-            inner.refcount[f.0][v.0] += 1;
+        for &(_, v) in &deploys {
+            inner.node_version[v.0] = seq;
         }
+        // Every charge moves residual bandwidth, so every charged edge
+        // version-bumps.
         let edges = delta.edges().to_vec();
-        for &(e, b) in &edges {
-            // Every charge moves residual bandwidth, so every touched
-            // edge version-bumps (unlike node reuse, there is no free
-            // reference-only case for an edge).
-            inner.edge_used[e.0] += b;
-            inner.edge_sessions[e.0] += 1;
+        for &(e, _) in &edges {
             inner.edge_version[e.0] = seq;
         }
         if let Some(session) = id {
             inner.sessions.entry(session).or_default().push(Session {
-                deploys: deploys.clone(),
-                refs: refs.clone(),
-                edges: edges.clone(),
+                usage: CommitDelta::with_usage(deploys.clone(), refs.clone(), edges.clone()),
                 live: true,
                 task,
             });
@@ -393,83 +358,53 @@ impl CapacityLedger {
     /// * [`ServiceError::AlreadyReleased`] — every session under this id
     ///   has already been released.
     pub fn release_usage(&self, session: u64) -> Result<CommitDelta, ServiceError> {
-        let inner = self.lock();
-        let stack = inner
-            .sessions
-            .get(&session)
-            .ok_or(ServiceError::UnknownSession { session })?;
-        stack
-            .iter()
-            .rev()
-            .find(|s| s.live)
-            .map(|s| CommitDelta::with_usage(s.deploys.clone(), s.refs.clone(), s.edges.clone()))
-            .ok_or(ServiceError::AlreadyReleased { session })
+        Ok(self.lock().live_session(session)?.usage.clone())
     }
 
     /// Step 3 of a release: retires the most recent live session under
     /// `session` after [`Network::apply_release`] succeeded on the
-    /// authoritative network (same write-lock critical section). Drops
-    /// one mirror reference per used pair; pairs whose count reaches zero
-    /// free their capacity and version-bump their node. Edge charges come
-    /// back refcount-style: the last session on an edge snaps its usage
-    /// to exactly zero. Clears any queued admission credit for the
-    /// session. Returns the assigned sequence number, the total node
-    /// capacity freed, and the total bandwidth given back.
+    /// authoritative network (same write-lock critical section), and
+    /// releases it from the ledger's copy. Nodes whose last reference
+    /// dropped and every edge the session charged version-bump. Clears
+    /// any queued admission credit for the session. Returns the assigned
+    /// sequence number, the total node capacity freed, and the total
+    /// bandwidth given back.
     ///
     /// # Errors
     ///
     /// Same conditions as [`CapacityLedger::release_usage`]; nothing is
     /// mutated on error.
+    ///
+    /// # Panics
+    ///
+    /// If the copy rejects the release, as for
+    /// [`CapacityLedger::confirm_with_task`].
     pub fn confirm_release(&self, session: u64) -> Result<(u64, f64, f64), ServiceError> {
-        let mut inner = self.lock();
-        let stack = inner
-            .sessions
-            .get_mut(&session)
-            .ok_or(ServiceError::UnknownSession { session })?;
-        let slot = stack
-            .iter_mut()
-            .rev()
-            .find(|s| s.live)
-            .ok_or(ServiceError::AlreadyReleased { session })?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let slot = inner.live_session(session)?;
         slot.live = false;
-        let usage: Vec<(VnfId, NodeId)> = slot
-            .deploys
-            .iter()
-            .chain(slot.refs.iter())
-            .copied()
-            .collect();
-        let edges = slot.edges.clone();
+        let usage = slot.usage.clone();
+        let freed = inner
+            .network
+            .apply_release(&usage)
+            .expect("the ledger's copy accepts every release its owner applied");
         inner.seq += 1;
         let seq = inner.seq;
+        let catalog = inner.network.catalog();
         let mut freed_demand = 0.0;
-        let mut deploys = Vec::new();
-        let mut refs = Vec::new();
-        for (f, v) in usage {
-            debug_assert!(inner.refcount[f.0][v.0] > 0, "live session holds a ref");
-            inner.refcount[f.0][v.0] -= 1;
-            if inner.refcount[f.0][v.0] == 0 {
-                inner.instances[f.0] -= 1;
-                inner.residual[v.0] += inner.demand[f.0];
-                inner.node_version[v.0] = seq;
-                freed_demand += inner.demand[f.0];
-                deploys.push((f, v));
-            } else {
-                refs.push((f, v));
-            }
+        for &(f, v) in &freed {
+            inner.node_version[v.0] = seq;
+            freed_demand += catalog.demand(f);
         }
-        deploys.sort_unstable();
+        let mut refs: Vec<_> = usage
+            .usage()
+            .filter(|p| freed.binary_search(p).is_err())
+            .collect();
         refs.sort_unstable();
-        let mut freed_bandwidth = 0.0;
-        for &(e, b) in &edges {
-            debug_assert!(inner.edge_sessions[e.0] > 0, "live session holds an edge");
-            inner.edge_sessions[e.0] -= 1;
-            if inner.edge_sessions[e.0] == 0 {
-                inner.edge_used[e.0] = 0.0;
-            } else {
-                inner.edge_used[e.0] -= b;
-            }
+        let edges = usage.edges().to_vec();
+        for &(e, _) in &edges {
             inner.edge_version[e.0] = seq;
-            freed_bandwidth += b;
         }
         inner.pending_release.remove(&session);
         inner.pending_release_bw.remove(&session);
@@ -477,11 +412,11 @@ impl CapacityLedger {
             seq,
             id: Some(session),
             op: LedgerOp::Release,
-            deploys,
+            deploys: freed,
             refs,
             edges,
         });
-        Ok((seq, freed_demand, freed_bandwidth))
+        Ok((seq, freed_demand, usage.total_bandwidth()))
     }
 
     /// Records the admission credit of a release request entering the job
@@ -491,19 +426,24 @@ impl CapacityLedger {
     /// fail with the structured error either way). Idempotent per
     /// session: a second queued release of the same id adds nothing.
     pub fn note_queued_release(&self, session: u64) -> bool {
-        let mut inner = self.lock();
-        let Some(stack) = inner.sessions.get(&session) else {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let Some(slot) = inner
+            .sessions
+            .get(&session)
+            .and_then(|stack| stack.iter().rev().find(|s| s.live))
+        else {
             return false;
         };
-        let Some(slot) = stack.iter().rev().find(|s| s.live) else {
-            return false;
-        };
+        let catalog = inner.network.catalog();
         let credit: Vec<(usize, f64)> = slot
-            .deploys
+            .usage
+            .deploys()
             .iter()
-            .map(|&(f, v)| (v.0, inner.demand[f.0]))
+            .map(|&(f, v)| (v.0, catalog.demand(f)))
             .collect();
-        let bw_credit: Vec<(usize, f64)> = slot.edges.iter().map(|&(e, b)| (e.0, b)).collect();
+        let bw_credit: Vec<(usize, f64)> =
+            slot.usage.edges().iter().map(|&(e, b)| (e.0, b)).collect();
         inner.pending_release.entry(session).or_insert(credit);
         inner.pending_release_bw.entry(session).or_insert(bw_credit);
         true
@@ -557,31 +497,19 @@ impl CapacityLedger {
         self.lock().log.clone()
     }
 
-    /// Network-wide residual capacity according to the mirror.
-    pub fn total_residual_capacity(&self) -> f64 {
-        let inner = self.lock();
-        inner
-            .residual
-            .iter()
-            .zip(&inner.is_server)
-            .filter(|&(_, &s)| s)
-            .map(|(&r, _)| r)
-            .sum()
-    }
-
     /// The admission pre-check of [`crate::admission::check_capacity`],
-    /// answered from the ledger mirror so connection readers never need
+    /// answered from the ledger's copy so connection readers never need
     /// any lock on the service itself.
     ///
-    /// The residual side of both bounds includes the credit of release
+    /// The residual side of every bound includes the credit of release
     /// jobs already queued ahead of this request
     /// ([`CapacityLedger::note_queued_release`]): those workers will give
     /// the capacity back before the task's own commit runs, so without
     /// the credit a request arriving right behind a teardown would be
-    /// rejected against a mirror that is about to be refilled. The credit
-    /// can only widen the bound, which keeps the check sound (it still
-    /// never rejects a feasible task; an over-admitted one fails later
-    /// with the same structured error).
+    /// rejected against residuals that are about to be refilled. The
+    /// credit can only widen the bound, which keeps the check sound (it
+    /// still never rejects a feasible task; an over-admitted one fails
+    /// later with the same structured error).
     ///
     /// # Errors
     ///
@@ -589,86 +517,15 @@ impl CapacityLedger {
     /// demand/supply pair.
     pub fn check_capacity(&self, task: &MulticastTask) -> Result<(), ServiceError> {
         let inner = self.lock();
-        // Distinct chain types with no live instance anywhere must be
-        // placed fresh — identical bounds to `Network::min_new_demand` /
-        // `Network::max_new_instance_demand`.
-        let stages = task.sfc().stages();
-        let new_types = (0..inner.demand.len())
-            .map(VnfId)
-            .filter(|f| stages.contains(f) && inner.instances[f.0] == 0);
-        let (mut demand, mut unit) = (0.0f64, 0.0f64);
-        for f in new_types {
-            demand += inner.demand[f.0];
-            unit = unit.max(inner.demand[f.0]);
-        }
-        let mut credit = vec![0.0f64; inner.residual.len()];
-        for credits in inner.pending_release.values() {
-            for &(v, c) in credits {
-                credit[v] += c;
-            }
-        }
-        let server_residuals = || {
-            inner
-                .residual
-                .iter()
-                .zip(&credit)
-                .zip(&inner.is_server)
-                .filter(|&(_, &s)| s)
-                .map(|((&r, &c), _)| r + c)
-        };
-        let remaining: f64 = server_residuals().sum();
-        if numeric::exceeds(demand, remaining) {
-            return Err(ServiceError::InsufficientCapacity { demand, remaining });
-        }
-        let best = server_residuals().fold(0.0, f64::max);
-        if numeric::exceeds(unit, best) {
-            return Err(ServiceError::InsufficientCapacity {
-                demand: unit,
-                remaining: best,
-            });
-        }
-        // Bandwidth lower bound: any feasible delivery tree crosses at
-        // least one edge, so a demand wider than the widest residual edge
-        // (plus bandwidth queued releases are about to give back) cannot
-        // route. Uncapacitated edges are infinitely wide, so networks
-        // without link capacities never reject here.
-        let b = task.bandwidth();
-        if b > 0.0 {
-            let mut bw_credit = vec![0.0f64; inner.edge_capacity.len()];
-            for credits in inner.pending_release_bw.values() {
-                for &(e, c) in credits {
-                    bw_credit[e] += c;
-                }
-            }
-            let widest = inner
-                .edge_capacity
-                .iter()
-                .zip(&inner.edge_used)
-                .zip(&bw_credit)
-                .map(|((&cap, &used), &c)| cap - used + c)
-                .fold(0.0, f64::max);
-            if numeric::exceeds(b, widest) {
-                return Err(ServiceError::InsufficientBandwidth {
-                    demand: b,
-                    remaining: widest,
-                });
-            }
-        }
-        Ok(())
+        let node_credit = summed_credit(&inner.pending_release, inner.node_version.len());
+        let edge_credit = summed_credit(&inner.pending_release_bw, inner.edge_version.len());
+        admission::check_capacity_with_credit(&inner.network, task, &node_credit, &edge_credit)
     }
 
-    /// `(capacity, committed bandwidth)` per capacitated edge according
-    /// to the mirror — the stats renderer's link-utilization source.
-    /// Empty when the network has no link capacities.
-    pub fn edge_loads(&self) -> Vec<(f64, f64)> {
-        let inner = self.lock();
-        inner
-            .edge_capacity
-            .iter()
-            .zip(&inner.edge_used)
-            .filter(|&(&cap, _)| cap.is_finite())
-            .map(|(&cap, &used)| (cap, used))
-            .collect()
+    /// A clone of the ledger's copy of the network.
+    #[cfg(test)]
+    pub(crate) fn network(&self) -> Network {
+        self.lock().network.clone()
     }
 }
 
@@ -705,6 +562,17 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    /// `(capacity, committed bandwidth)` of edge `e` in the ledger's copy.
+    fn edge_load(ledger: &CapacityLedger, e: usize) -> (f64, f64) {
+        let network = ledger.network();
+        let used = network
+            .edge_usage()
+            .iter()
+            .find(|u| u.0 == EdgeId(e))
+            .map_or(0.0, |u| u.1);
+        (network.graph().edge_capacity(EdgeId(e)).unwrap(), used)
     }
 
     fn task(source: usize, dests: &[usize], sfc: &[usize]) -> MulticastTask {
@@ -764,17 +632,17 @@ mod tests {
     fn confirm_tracks_residuals_and_logs_effective_deltas() {
         let network = ring_network(6, 2.0);
         let ledger = CapacityLedger::new(&network);
-        let before = ledger.total_residual_capacity();
+        let before = ledger.network().total_residual_capacity();
         assert_eq!(before, network.total_residual_capacity());
 
         let delta = CommitDelta::new(vec![(VnfId(0), NodeId(1)), (VnfId(1), NodeId(2))]);
         ledger.confirm(Some(7), &delta);
-        assert_eq!(ledger.total_residual_capacity(), before - 2.0);
+        assert_eq!(ledger.network().total_residual_capacity(), before - 2.0);
 
         // Re-confirming the same pairs is pure reuse: no residual change,
         // and the logged delta is empty.
         ledger.confirm(Some(8), &delta);
-        assert_eq!(ledger.total_residual_capacity(), before - 2.0);
+        assert_eq!(ledger.network().total_residual_capacity(), before - 2.0);
         let log = ledger.commit_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].seq, 1);
@@ -799,20 +667,20 @@ mod tests {
         }
     }
 
-    /// The headline refcount scenario at the mirror level: an instance
+    /// The headline refcount scenario at the ledger level: an instance
     /// two sessions share survives the first release and frees (capacity
     /// and version bump) only with the last.
     #[test]
     fn shared_instances_free_only_on_the_last_release() {
         let ledger = CapacityLedger::new(&ring_network(6, 2.0));
-        let seed = ledger.total_residual_capacity();
+        let seed = ledger.network().total_residual_capacity();
         ledger.confirm(Some(1), &CommitDelta::new(vec![(VnfId(0), NodeId(1))]));
         // Session 2 reuses (0,1) and adds its own instance.
         ledger.confirm(
             Some(2),
             &CommitDelta::new(vec![(VnfId(0), NodeId(1)), (VnfId(1), NodeId(2))]),
         );
-        assert_eq!(ledger.total_residual_capacity(), seed - 2.0);
+        assert_eq!(ledger.network().total_residual_capacity(), seed - 2.0);
 
         // Session 1's release drops a shared reference: nothing frees.
         let usage = ledger.release_usage(1).unwrap();
@@ -820,7 +688,7 @@ mod tests {
         let (seq, freed, _) = ledger.confirm_release(1).unwrap();
         assert_eq!(seq, 3);
         assert_eq!(freed, 0.0, "session 2 still holds the instance");
-        assert_eq!(ledger.total_residual_capacity(), seed - 2.0);
+        assert_eq!(ledger.network().total_residual_capacity(), seed - 2.0);
         let log = ledger.commit_log();
         assert_eq!(log[2].op, LedgerOp::Release);
         assert!(log[2].deploys.is_empty(), "no capacity moved");
@@ -829,7 +697,7 @@ mod tests {
         // Session 2's release is the last reference everywhere: all frees.
         let (_, freed, _) = ledger.confirm_release(2).unwrap();
         assert_eq!(freed, 2.0);
-        assert_eq!(ledger.total_residual_capacity(), seed);
+        assert_eq!(ledger.network().total_residual_capacity(), seed);
         assert_eq!(ledger.live_sessions(), Vec::<u64>::new());
 
         // The session taxonomy: releasing again or an unknown id errors
@@ -903,7 +771,7 @@ mod tests {
     /// Edge bandwidth rides the same MVCC cycle as node capacity: charges
     /// version-bump their edge (staling snapshots that routed over it),
     /// sessions remember their charges, and the last release on an edge
-    /// snaps its mirrored usage to exactly zero.
+    /// snaps its usage in the ledger's copy to exactly zero.
     #[test]
     fn edge_charges_version_bump_and_release_refcount_style() {
         let ledger = CapacityLedger::new(&capacitated_ring(4, 2.0, 1.0));
@@ -923,16 +791,16 @@ mod tests {
         ledger.validate(&snap, &disjoint, false).unwrap();
         ledger.validate(&ledger.snapshot(), &d2, false).unwrap();
         ledger.confirm(Some(2), &d2);
-        assert_eq!(ledger.edge_loads()[0], (1.0, 0.1 + 0.2));
+        assert_eq!(edge_load(&ledger, 0), (1.0, 0.1 + 0.2));
 
         // Releases give bandwidth back refcount-style.
         let (_, _, bw) = ledger.confirm_release(1).unwrap();
         assert_eq!(bw, 0.1);
-        assert_eq!(ledger.edge_loads()[0], (1.0, 0.1 + 0.2 - 0.1));
+        assert_eq!(edge_load(&ledger, 0), (1.0, 0.1 + 0.2 - 0.1));
         let (_, _, bw) = ledger.confirm_release(2).unwrap();
         assert_eq!(bw, 0.2);
         assert_eq!(
-            ledger.edge_loads()[0],
+            edge_load(&ledger, 0),
             (1.0, 0.0),
             "last release snaps to zero"
         );
@@ -983,13 +851,13 @@ mod tests {
         // Two fresh unit demands against total residual 6.0 admits...
         CapacityLedger::new(&network).check_capacity(&t).unwrap();
         // ...and once both types are live, even a full network admits the
-        // reuse-only chain — mirroring `Network::min_new_demand` = 0.
+        // reuse-only chain — `Network::min_new_demand` is 0.
         let delta = CommitDelta::new(vec![(VnfId(0), NodeId(1)), (VnfId(1), NodeId(2))]);
         network.apply_delta(&delta).unwrap();
         let ledger = CapacityLedger::new(&network);
         ledger.check_capacity(&t).unwrap();
         assert_eq!(
-            ledger.total_residual_capacity(),
+            ledger.network().total_residual_capacity(),
             network.total_residual_capacity()
         );
     }

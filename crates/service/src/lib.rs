@@ -31,8 +31,8 @@
 //!   reuse survives the first release and frees with the last.
 //! * [`admission`] sheds load *before* work is queued: a sound
 //!   VNF-capacity demand bound against remaining committed capacity
-//!   (`insufficient_capacity`, answered from the ledger mirror on the
-//!   socket path) and queue-depth backpressure (`overloaded`), with
+//!   (`insufficient_capacity`, answered from the ledger's network copy
+//!   on the socket path) and queue-depth backpressure (`overloaded`), with
 //!   already-expired queued jobs shed so they cannot block live work.
 //! * [`EmbedService::submit_batch`] fans independent tasks across
 //!   [`sft_graph::parallel::run_partitioned`] with the workspace's

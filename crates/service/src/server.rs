@@ -2,8 +2,8 @@
 //!
 //! One listener thread accepts connections; each connection gets a reader
 //! thread that parses protocol lines, runs admission control
-//! ([`crate::admission`], answered from the [`CapacityLedger`] mirror so
-//! readers never touch the service lock) and enqueues accepted jobs onto
+//! ([`crate::admission`], answered from the [`CapacityLedger`]'s copy of
+//! the network so readers never touch the service lock) and enqueues accepted jobs onto
 //! a bounded [`JobQueue`]; a fixed worker pool pops jobs and solves them
 //! against the **shared** service (one `Network`, one distance engine, one
 //! `SteinerCache`) behind an `RwLock`.
@@ -146,7 +146,8 @@ type Reply = Arc<Mutex<Box<dyn Write + Send>>>;
 struct Shared {
     service: RwLock<EmbedService>,
     /// The optimistic capacity ledger commits transact through; its
-    /// mirror also answers admission so readers need no service lock.
+    /// network copy also answers admission so readers need no service
+    /// lock.
     ledger: CapacityLedger,
     queue: JobQueue<Job>,
     draining: AtomicBool,
@@ -359,8 +360,8 @@ fn defrag_pass(shared: &Shared) -> DefragReport {
             continue;
         };
         if service.apply_release(&usage).is_err() {
-            // Unreachable while the mirror and the network agree; skip
-            // the session rather than crash if they ever drift.
+            // Unreachable while the ledger's copy and the network agree;
+            // skip the session rather than crash if they ever drift.
             continue;
         }
         shared
@@ -564,7 +565,7 @@ fn admit(
     }
     let task = req.to_task().map_err(ServiceError::Core)?;
     if shared.config.admission.capacity_check {
-        // Answered from the ledger mirror: admission needs no service
+        // Answered from the ledger's copy: admission needs no service
         // lock, so a long write-locked commit never stalls rejections.
         if let Err(e) = shared.ledger.check_capacity(&task) {
             if matches!(e, ServiceError::InsufficientBandwidth { .. }) {
@@ -760,7 +761,7 @@ fn release_job(job: &Job, session: u64, shared: &Arc<Shared>) -> EmbedResponse {
     };
     let freed = match service.apply_release(&usage) {
         Ok(freed) => freed,
-        // Unreachable while the ledger mirror and the network agree; a
+        // Unreachable while the ledger's copy and the network agree; a
         // structured error (network untouched — apply is all-or-nothing)
         // beats a crash if they ever drift.
         Err(e) => {
@@ -894,7 +895,7 @@ fn apply_solved(
             Some(EmbedResponse::success(job.id, &result, true))
         }
         // Capacity (node or link) moved in a way the version vector
-        // cannot see only if the ledger mirror and network disagree — an
+        // cannot see only if the ledger's copy and network disagree — an
         // optimistic attempt treats it as a lost race and re-solves
         // rather than crash or half-apply.
         Err(ServiceError::Core(
@@ -1181,6 +1182,47 @@ mod tests {
         assert_eq!(service.network().deployed_pairs(), before_pairs);
         assert_eq!(service.stats().commits, 0);
         assert_eq!(shared.ledger.commit_count(), 0);
+    }
+
+    /// The deadline is re-checked before apply: a commit whose solve
+    /// finished in time but whose deadline passed while it waited for the
+    /// write lock answers `deadline_exceeded`, and the network, the
+    /// ledger's copy and the commit log stay untouched.
+    #[test]
+    fn a_deadline_passing_while_the_commit_waits_for_the_write_lock_refuses_it() {
+        let shared = shared_for(3.0, ServerConfig::default());
+        let seed = ring_network(10, 3.0);
+        let deadline = Instant::now() + Duration::from_millis(300);
+        let job = commit_job_with_deadline(1, 0, Some(deadline));
+        let guard = shared.read_service();
+        let response = std::thread::scope(|s| {
+            let worker = s.spawn(|| run_job(&job, &shared));
+            // The solve runs under the read half beside this guard; once
+            // it has answered, the commit blocks on the write half.
+            while guard.stats().tasks_served == 0 {
+                assert!(Instant::now() < deadline, "the solve must finish in time");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            while Instant::now() <= deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drop(guard);
+            worker.join().unwrap()
+        });
+        match response.body {
+            ResponseBody::Error(e) => assert_eq!(e.code, ErrorCode::DeadlineExceeded),
+            other => panic!("expected deadline_exceeded, got {other:?}"),
+        }
+        let copy = shared.ledger.network();
+        for network in [shared.read_service().network().clone(), copy] {
+            assert_eq!(network.deployment_refcounts(), seed.deployment_refcounts());
+            assert_eq!(network.edge_usage(), seed.edge_usage());
+            for v in seed.servers() {
+                assert_eq!(network.residual_capacity(v), seed.residual_capacity(v));
+            }
+        }
+        assert_eq!(shared.read_service().stats().commits, 0);
+        assert!(shared.ledger.commit_log().is_empty());
     }
 
     /// Deadline expiry cancels a quote *mid-solve*: the per-job child
@@ -1719,6 +1761,79 @@ mod tests {
         assert_eq!(handle.stats().commits, 0);
         handle.shutdown();
         handle.join();
+    }
+
+    /// A client that writes a burst of commits in one write and vanishes
+    /// without reading an answer leaves nothing half-done: the commit log
+    /// replays serially to the live network (refcounts, residuals, link
+    /// loads), every logged commit is counted, and undoing the log in
+    /// reverse returns the replay to the seed.
+    #[test]
+    fn a_client_vanishing_mid_pipeline_leaves_a_replayable_log() {
+        use crate::ledger::LedgerOp;
+        let mut g = Graph::new(10);
+        for i in 0..10 {
+            g.add_edge_with_capacity(NodeId(i), NodeId((i + 1) % 10), 1.0, Some(1.0))
+                .unwrap();
+        }
+        let seed = Network::builder(g, VnfCatalog::uniform(3))
+            .all_servers(3.0)
+            .unwrap()
+            .uniform_setup_cost(2.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let svc = EmbedService::with_defaults(seed.clone());
+        let mut handle = serve(svc, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = handle.local_addr().unwrap().to_string();
+        const COMMITS: usize = 24;
+        let mut burst = String::new();
+        for id in 1..=COMMITS {
+            let source = id % 10;
+            let dests = vec![(source + 3) % 10, (source + 6) % 10];
+            let mut r = EmbedRequest::new(source, dests, vec![0, 1]);
+            r.id = Some(id as u64);
+            r.mode = Some(RequestMode::Commit);
+            r.bandwidth = Some(0.05);
+            burst.push_str(&r.to_json());
+            burst.push('\n');
+        }
+        let mut client = TcpStream::connect(&addr).unwrap();
+        client.write_all(burst.as_bytes()).unwrap();
+        drop(client);
+        // Drain once half the burst has landed, with the rest in flight.
+        let start = Instant::now();
+        while handle.commit_log().len() < COMMITS / 2 && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.shutdown();
+        handle.join();
+
+        let log = handle.commit_log();
+        assert!(!log.is_empty(), "some commits landed before the drain");
+        let mut replay = seed.clone();
+        for record in &log {
+            assert_eq!(record.op, LedgerOp::Commit);
+            replay.apply_delta(&record.delta()).unwrap();
+        }
+        let live = handle.network();
+        assert_eq!(replay.deployment_refcounts(), live.deployment_refcounts());
+        assert_eq!(replay.edge_usage(), live.edge_usage());
+        for v in seed.servers() {
+            assert_eq!(replay.residual_capacity(v), live.residual_capacity(v));
+        }
+        assert_eq!(handle.stats().commits, log.len() as u64);
+        for record in log.iter().rev() {
+            replay.apply_release(&record.delta()).unwrap();
+        }
+        assert_eq!(replay.deployment_refcounts(), seed.deployment_refcounts());
+        assert_eq!(replay.edge_usage(), seed.edge_usage());
+        for v in seed.servers() {
+            assert_eq!(replay.residual_capacity(v), seed.residual_capacity(v));
+        }
+        for e in seed.graph().edge_ids() {
+            assert_eq!(replay.edge_residual(e), seed.edge_residual(e));
+        }
     }
 
     /// Writes `bytes`, half-closes, and returns whatever the server

@@ -6,7 +6,7 @@ use sft_core::{
     solve_with_cache, CoreError, MulticastTask, Network, SolveOptions, SolveResult, Strategy,
 };
 use sft_graph::parallel::run_partitioned;
-use sft_graph::{SteinerCache, TreeCache};
+use sft_graph::SteinerCache;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;

@@ -30,9 +30,12 @@ fn latency_waxman(n: usize, seed: u64) -> Network {
     let beta = 0.4;
     let degree = 2.0 * (n as f64).ln();
     let alpha = (degree / (4.0 * std::f64::consts::PI * beta * n as f64)).sqrt();
-    let mut g = generate::waxman(n, alpha, beta, 100.0, &mut rng).unwrap().graph;
+    let mut g = generate::waxman(n, alpha, beta, 100.0, &mut rng)
+        .unwrap()
+        .graph;
     for e in g.edge_ids().collect::<Vec<_>>() {
-        g.set_edge_latency(e, Some(0.1 + rng.random::<f64>())).unwrap();
+        g.set_edge_latency(e, Some(0.1 + rng.random::<f64>()))
+            .unwrap();
     }
     Network::builder(g, VnfCatalog::uniform(3))
         .all_servers(3.0)
@@ -132,7 +135,9 @@ fn infeasible_budget_is_refused_without_a_trace() {
         .expect_err("three hops cannot fit in two units");
     assert_eq!(err.code(), ErrorCode::DelayInfeasible);
     match err {
-        ServiceError::Core(CoreError::DelayInfeasible { achieved, budget, .. }) => {
+        ServiceError::Core(CoreError::DelayInfeasible {
+            achieved, budget, ..
+        }) => {
             assert_eq!(achieved, 3.0);
             assert_eq!(budget, 2.0);
         }
@@ -151,10 +156,16 @@ fn infeasible_budget_is_refused_without_a_trace() {
     let stats = svc.stats();
     assert_eq!(stats.delay_infeasible, 1);
     assert_eq!(stats.commits, 0);
-    assert!(stats.render().contains("delay-infeasible"), "{}", stats.render());
+    assert!(
+        stats.render().contains("delay-infeasible"),
+        "{}",
+        stats.render()
+    );
 
     // The same task under a reachable budget commits and reports it.
-    let r = svc.solve_and_commit(&path_task(3.5)).expect("three hops fit");
+    let r = svc
+        .solve_and_commit(&path_task(3.5))
+        .expect("three hops fit");
     let delay = r.max_path_delay.expect("budgeted solves report a delay");
     assert!(delay <= 3.5 + 1e-9);
     assert_eq!(svc.stats().commits, 1);
@@ -165,7 +176,9 @@ fn infeasible_budget_is_refused_without_a_trace() {
 #[test]
 fn exact_and_heuristic_agree_on_palmetto10_feasibility() {
     let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
-    let mut g = sft::topology::palmetto::graph().induced_subgraph(&nodes).unwrap();
+    let mut g = sft::topology::palmetto::graph()
+        .induced_subgraph(&nodes)
+        .unwrap();
     assert!(g.is_connected(), "palmetto:10 must be a connected prefix");
     for e in g.edge_ids().collect::<Vec<_>>() {
         g.set_edge_latency(e, Some(1.0)).unwrap();
@@ -188,9 +201,7 @@ fn exact_and_heuristic_agree_on_palmetto10_feasibility() {
         let task = base.clone().with_delay_budget(budget).unwrap();
         let heuristic = solve_with_options(&network, &task, Strategy::Msa, SolveOptions::default());
         let model = IlpModel::build(&network, &task).unwrap();
-        let outcome = model
-            .solve(&network, &task, &MipConfig::default())
-            .unwrap();
+        let outcome = model.solve(&network, &task, &MipConfig::default()).unwrap();
         if feasible {
             let r = heuristic.expect("heuristic admits the loose budget");
             assert!(r.max_path_delay.unwrap() <= budget + 1e-9);

@@ -114,13 +114,8 @@ fn fig13_opt(c: &mut Criterion) {
     };
     let s = workload::on_graph(palmetto::reduced_graph(10), &config, 7).unwrap();
     let model = IlpModel::build(&s.network, &s.task).unwrap();
-    let heuristic = sft_core::solve(
-        &s.network,
-        &s.task,
-        sft_core::Strategy::Msa,
-        sft_core::StageTwo::Opa,
-    )
-    .unwrap();
+    let heuristic =
+        sft_core::solve(&s.network, &s.task, &sft_core::SolveOptions::default()).unwrap();
     let mip = MipConfig {
         warm_start: model.warm_start(&s.network, &s.task, &heuristic.embedding),
         max_nodes: 2000,

@@ -70,13 +70,7 @@ fn bench_full_solve_palmetto(c: &mut Criterion) {
     c.bench_function("pipeline/two_stage_palmetto_d15_k10", |b| {
         b.iter(|| {
             black_box(
-                sft_core::solve(
-                    &s.network,
-                    &s.task,
-                    sft_core::Strategy::Msa,
-                    sft_core::StageTwo::Opa,
-                )
-                .unwrap(),
+                sft_core::solve(&s.network, &s.task, &sft_core::SolveOptions::default()).unwrap(),
             )
         })
     });

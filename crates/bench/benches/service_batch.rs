@@ -5,7 +5,7 @@
 //! Steiner trees of recurring multicast
 //! groups (persistent cache). This bench serves the same 20-task stream
 //!
-//! * `oneshot`  — a fresh `solve_with_options` per task, no shared cache;
+//! * `oneshot`  — a fresh `solve` per task, no shared cache;
 //! * `batch_seq` — `EmbedService` in Independent mode, 1 worker thread;
 //! * `batch_auto` — the same with the auto thread count;
 //!
@@ -13,7 +13,7 @@
 //! times plus the cache hit rate the stream achieved.
 
 use criterion::{criterion_group, Criterion};
-use sft_core::{solve_with_options, MulticastTask, Network, SolveOptions, Strategy};
+use sft_core::{solve, MulticastTask, Network, SolveOptions, Strategy};
 use sft_graph::Parallelism;
 use sft_service::{BatchMode, EmbedService};
 use sft_topology::{palmetto, workload, ScenarioConfig};
@@ -54,15 +54,7 @@ fn bench_service_batch(c: &mut Criterion) {
     group.bench_function("oneshot", |b| {
         b.iter(|| {
             for t in &tasks {
-                black_box(
-                    solve_with_options(
-                        &network,
-                        t,
-                        Strategy::Msa,
-                        SolveOptions::default().with_parallelism(Parallelism::sequential()),
-                    )
-                    .unwrap(),
-                );
+                black_box(solve(&network, t, &SolveOptions::default()).unwrap());
             }
         })
     });
@@ -71,7 +63,10 @@ fn bench_service_batch(c: &mut Criterion) {
             let mut svc = EmbedService::new(
                 network.clone(),
                 Strategy::Msa,
-                SolveOptions::default().with_parallelism(Parallelism::sequential()),
+                SolveOptions {
+                    parallelism: Parallelism::sequential(),
+                    ..SolveOptions::default()
+                },
             )
             .unwrap();
             black_box(svc.submit_batch(&tasks, BatchMode::Independent));
@@ -83,7 +78,10 @@ fn bench_service_batch(c: &mut Criterion) {
             let mut svc = EmbedService::new(
                 network.clone(),
                 Strategy::Msa,
-                SolveOptions::default().with_parallelism(auto),
+                SolveOptions {
+                    parallelism: auto,
+                    ..SolveOptions::default()
+                },
             )
             .unwrap();
             black_box(svc.submit_batch(&tasks, BatchMode::Independent));

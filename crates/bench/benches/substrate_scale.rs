@@ -14,9 +14,7 @@
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sft_core::{
-    solve_with_options, MulticastTask, Network, Sfc, SolveOptions, Strategy, VnfCatalog, VnfId,
-};
+use sft_core::{solve, MulticastTask, Network, Sfc, SolveOptions, VnfCatalog, VnfId};
 use sft_graph::{generate, NodeId};
 use std::hint::black_box;
 use std::io::Write;
@@ -94,7 +92,7 @@ fn bench_quote_scaling(c: &mut Criterion) -> Vec<ScalePoint> {
         group.bench_function(format!("n_{n}").as_str(), |b| {
             b.iter(|| {
                 black_box(
-                    solve_with_options(&network, &task, Strategy::Msa, SolveOptions::default())
+                    solve(&network, &task, &SolveOptions::default())
                         .expect("the quote is feasible"),
                 )
             })

@@ -44,11 +44,6 @@ SOLVE / EXACT FLAGS:
   --dests <a,b,c>       destination node indices (required)
   --sfc <k>             chain length, types 0..k (default 3)
   --strategy <msa|sca|rsa>   stage-1 algorithm (default msa)
-  --threads <n>         worker threads for batch --mode independent; 0 =
-                        all cores (default). Results are identical for
-                        every value. One solve always runs on one thread
-                        (the stage-1 sweep prunes with one incumbent), so
-                        solve, exact and serve accept it without effect.
   --no-opa              skip stage 2
   --delay-budget <ms>   end-to-end delay budget per destination; the
                         solve repairs routes to meet it or fails with
@@ -72,10 +67,15 @@ versioned JSONL lines, see docs/service.md:
                         (batch) sequential = solve-and-commit each task
                         in arrival order; independent = fan dry-run
                         solves across threads (default sequential)
+  --threads <n>         (batch) worker threads for --mode independent;
+                        0 = all cores (default). Results are identical
+                        for every value: one solve always runs on one
+                        thread (the stage-1 sweep prunes with one
+                        incumbent)
   --sfc <k>             VNF catalog size; task types must be < k
-  --strategy <msa|sca>  stage-1 algorithm (default msa; rsa is
-                        randomized and not reproducible, so the
-                        service rejects it)
+  --strategy <msa|sca>  stage-1 algorithm (default msa; rsa is the
+                        paper's random baseline, so the service
+                        rejects it)
   --cache-cap <n>       bound the Steiner cache to n entries with
                         CLOCK eviction (default unbounded)
 

@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sft_core::ilp::IlpModel;
 use sft_core::{
-    solve_with_rng, solve_with_rng_options, viz, MulticastTask, Network, Parallelism, Sfc, SftTree,
-    SolveOptions, StageTwo, Strategy, VnfCatalog, VnfId,
+    viz, MulticastTask, Network, Parallelism, Sfc, SftTree, SolveOptions, StageTwo, Strategy,
+    VnfCatalog, VnfId,
 };
 use sft_graph::{LazyDistances, NodeId};
 use sft_lp::{BackendChoice, MipConfig};
@@ -151,18 +151,15 @@ pub fn solve(args: &Args) -> Result<String, ParseError> {
     } else {
         StageTwo::Opa
     };
-    // One solve runs on one thread whatever --threads says; the flag is
-    // still parsed, so one command line fits every subcommand.
-    let parallelism = Parallelism::new(args.parse_or("threads", 0usize)?);
     let options = SolveOptions {
+        strategy,
         stage_two: stage2,
-        parallelism,
+        seed: args.parse_or("seed", 0)?,
         ..SolveOptions::default()
     };
-    let mut rng = StdRng::seed_from_u64(args.parse_or("seed", 0)?);
     let start = Instant::now();
-    let result = solve_with_rng_options(&network, &task, strategy, options, &mut rng)
-        .map_err(|e| ParseError(e.to_string()))?;
+    let result =
+        sft_core::solve(&network, &task, &options).map_err(|e| ParseError(e.to_string()))?;
     let ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut out = String::new();
@@ -241,8 +238,7 @@ pub fn solve(args: &Args) -> Result<String, ParseError> {
 /// [`ParseError`] for bad flags, oversized instances, or solver errors.
 pub fn exact(args: &Args) -> Result<String, ParseError> {
     let (network, task) = setup(args)?;
-    let mut rng = StdRng::seed_from_u64(args.parse_or("seed", 0)?);
-    let heuristic = solve_with_rng(&network, &task, Strategy::Msa, StageTwo::Opa, &mut rng)
+    let heuristic = sft_core::solve(&network, &task, &SolveOptions::default())
         .map_err(|e| ParseError(e.to_string()))?;
 
     let model = IlpModel::build(&network, &task).map_err(|e| ParseError(e.to_string()))?;
@@ -928,7 +924,18 @@ mod tests {
             };
             assert_eq!(strip(&reference), strip(&out), "--threads {threads}");
         }
-        assert!(run(&format!("{base} --threads x")).is_err());
+        // `sft batch` reads the flag, so it rejects a bad value.
+        let dir = std::env::temp_dir().join("sft_cli_threads_flag");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("t.jsonl");
+        std::fs::write(&file, "{\"source\": 0, \"dests\": [3], \"sfc\": [0]}\n").unwrap();
+        let batch = format!(
+            "batch --topology grid:2x2 --tasks {} --mode independent",
+            file.display()
+        );
+        assert!(run(&format!("{batch} --threads 2")).is_ok());
+        assert!(run(&format!("{batch} --threads x")).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! High-level entry points: run a full two-stage solve with one call.
+//! The one full-solve entry point: stage 1 (MSA, SCA or RSA), then OPA.
 //!
 //! A task with a delay budget is solved as if it had none; then each late
 //! destination route is rerouted between its fixed waypoints along a λ
@@ -9,24 +9,26 @@
 use crate::chain::ChainSolution;
 use crate::cost::{delivery_cost, CostBreakdown};
 use crate::embedding::{DestinationRoute, Embedding};
+use crate::msa::SteinerMethod;
 use crate::network::Network;
-use crate::opa;
 use crate::task::MulticastTask;
-use crate::CoreError;
-use rand::Rng;
+use crate::{msa, opa, rsa, sca, CoreError};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sft_graph::{approx_le, CancelToken, EdgeId, Graph, NodeId, Parallelism, SteinerCache};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Which stage-1 algorithm to run (stage 2 / OPA is shared, §V-A).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// The paper's Modified Shortest-path Algorithm (Algorithm 2).
+    #[default]
     Msa,
     /// The minimum Set Cover baseline.
     Sca,
-    /// The Randomly Selecting baseline (requires an RNG; see
-    /// [`solve_with_rng`]).
+    /// The Randomly Selecting baseline; it draws from a generator seeded
+    /// with [`SolveOptions::seed`].
     Rsa,
 }
 
@@ -40,15 +42,22 @@ pub enum StageTwo {
     Skip,
 }
 
-/// Knobs shared by every solve entry point.
+/// Everything [`solve`] takes besides the network and the task.
 ///
-/// `Default` runs the full two-stage pipeline. Every solve runs on the
-/// calling thread; `parallelism` only sizes task-level fan-out by callers
-/// that solve many tasks at once.
+/// `Default` runs MSA with KMB trees, then OPA, on the calling thread, with
+/// a per-solve Steiner map and no cancellation.
 #[derive(Clone, Debug, Default)]
-pub struct SolveOptions {
+pub struct SolveOptions<'a> {
+    /// The stage-1 algorithm (default: MSA).
+    pub strategy: Strategy,
     /// Whether to run the stage-2 optimization (default: run OPA).
     pub stage_two: StageTwo,
+    /// The Steiner construction MSA hangs off the last VNF node (default:
+    /// KMB, as in the paper).
+    pub steiner: SteinerMethod,
+    /// Seed of the fresh `StdRng` RSA draws its placement from, so one
+    /// seed always gives one answer. MSA and SCA draw nothing.
+    pub seed: u64,
     /// Worker threads for task-level fan-out, such as
     /// `sft_service`'s independent batch mode (default: available cores).
     /// No solve reads it: the MSA stage-1 sweep runs on the calling thread
@@ -60,32 +69,12 @@ pub struct SolveOptions {
     /// token makes the solve return [`CoreError::Cancelled`] without
     /// mutating shared state (default: never cancelled).
     pub cancel: Option<CancelToken>,
-}
-
-impl SolveOptions {
-    /// Options running the given stage-2 choice, fanning tasks out over
-    /// all available cores.
-    pub fn new(stage_two: StageTwo) -> Self {
-        SolveOptions {
-            stage_two,
-            parallelism: Parallelism::auto(),
-            cancel: None,
-        }
-    }
-
-    /// Returns the options with the thread count replaced.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns the options with the cancellation token replaced.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
+    /// A persistent Steiner cache for long-running services that solve
+    /// many tasks over one network: MSA reads and fills it instead of a
+    /// per-solve map (see [`crate::msa::stage_one_with_cache_cancellable`]
+    /// for the validity contract). The other strategies ignore it, and
+    /// answers are bit-identical for every cache state (default: none).
+    pub cache: Option<&'a SteinerCache>,
 }
 
 /// Result of a complete solve.
@@ -108,17 +97,26 @@ pub struct SolveResult {
     pub max_path_delay: Option<f64>,
 }
 
-/// Solves a multicast SFT-embedding task with a deterministic strategy
-/// ([`Strategy::Msa`] or [`Strategy::Sca`]).
+/// Solves a multicast SFT-embedding task: the stage-1 chain embedding
+/// `options.strategy` names, then OPA unless `options.stage_two` skips it.
+///
+/// Tasks with a bandwidth demand are solved on a
+/// [`Network::bandwidth_view`] when any link is too saturated to carry
+/// them: the solve routes around those links, or returns
+/// [`CoreError::Infeasible`] when no bandwidth-feasible tree exists —
+/// never an overbooked one. A view is a different graph, so its solve
+/// never reads from or writes into `options.cache`. Bandwidth-free tasks
+/// solve on `network` itself.
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidTask`] if [`Strategy::Rsa`] is requested (it needs
-///   an RNG; use [`solve_with_rng`]).
 /// * Any stage-1 error ([`CoreError::Infeasible`], id mismatches).
+/// * [`CoreError::Cancelled`] when `options.cancel` trips mid-solve.
+/// * [`CoreError::DelayInfeasible`] when no rerouting meets the task's
+///   delay budget.
 ///
 /// ```
-/// use sft_core::{solve, Strategy, StageTwo};
+/// use sft_core::{solve, SolveOptions};
 /// use sft_core::{MulticastTask, Network, Sfc, VnfCatalog, VnfId};
 /// use sft_graph::{Graph, NodeId};
 ///
@@ -133,7 +131,7 @@ pub struct SolveResult {
 ///     vec![NodeId(3)],
 ///     Sfc::new(vec![VnfId(0), VnfId(1)])?,
 /// )?;
-/// let result = solve(&net, &task, Strategy::Msa, StageTwo::Opa)?;
+/// let result = solve(&net, &task, &SolveOptions::default())?;
 /// assert!(result.cost.total() > 0.0);
 /// # Ok(())
 /// # }
@@ -141,140 +139,23 @@ pub struct SolveResult {
 pub fn solve(
     network: &Network,
     task: &MulticastTask,
-    strategy: Strategy,
-    stage_two: StageTwo,
+    options: &SolveOptions<'_>,
 ) -> Result<SolveResult, CoreError> {
-    solve_with_options(network, task, strategy, SolveOptions::new(stage_two))
-}
-
-/// [`solve`] with explicit [`SolveOptions`] (stage-2 choice, cancellation).
-///
-/// Tasks with a bandwidth demand are solved on a
-/// [`Network::bandwidth_view`] when any link is too saturated to carry
-/// them: the solve routes around those links, or returns
-/// [`CoreError::Infeasible`] when no bandwidth-feasible tree exists —
-/// never an overbooked one. Bandwidth-free tasks take the exact legacy
-/// code path.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_options(
-    network: &Network,
-    task: &MulticastTask,
-    strategy: Strategy,
-    options: SolveOptions,
-) -> Result<SolveResult, CoreError> {
-    if let Some(view) = network.bandwidth_view(task.bandwidth())? {
-        // The view filters nothing further for the same demand, so this
-        // recursion terminates after one level.
-        return solve_with_options(&view, task, strategy, options);
-    }
-    let chain = match strategy {
-        Strategy::Msa => crate::msa::stage_one_cancellable(
-            network,
-            task,
-            crate::msa::SteinerMethod::default(),
-            options.parallelism,
-            options.cancel.as_ref(),
-        )?,
-        Strategy::Sca => crate::sca::stage_one(network, task)?,
-        Strategy::Rsa => {
-            return Err(CoreError::InvalidTask {
-                reason: "RSA is randomized; call solve_with_rng".into(),
-            })
-        }
+    let view = network.bandwidth_view(task.bandwidth())?;
+    let (network, cache) = match &view {
+        Some(view) => (view, None),
+        None => (network, options.cache),
     };
-    finish(network, task, chain, options.stage_two)
-}
-
-/// [`solve_with_options`] against a persistent, caller-owned Steiner
-/// cache — the entry point for long-running services that solve many
-/// tasks over one network.
-///
-/// For [`Strategy::Msa`] the stage-1 sweep reads and populates `cache`
-/// instead of a throwaway per-solve map (see
-/// [`crate::msa::stage_one_with_cache`] for the validity contract); the
-/// other strategies ignore the cache. Results are bit-identical to
-/// [`solve_with_options`] for every cache state.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_cache(
-    network: &Network,
-    task: &MulticastTask,
-    strategy: Strategy,
-    options: SolveOptions,
-    cache: &SteinerCache,
-) -> Result<SolveResult, CoreError> {
-    if let Some(view) = network.bandwidth_view(task.bandwidth())? {
-        // The shared cache keys trees by the *original* topology; the
-        // filtered view is a different graph and must never read from or
-        // write into it, so take the throwaway per-solve cache path.
-        return solve_with_options(&view, task, strategy, options);
-    }
-    let chain = match strategy {
-        Strategy::Msa => crate::msa::stage_one_with_cache_cancellable(
+    let chain = match options.strategy {
+        Strategy::Msa => msa::sweep(
             network,
             task,
-            crate::msa::SteinerMethod::default(),
-            options.parallelism,
+            options.steiner,
             cache,
             options.cancel.as_ref(),
         )?,
-        Strategy::Sca => crate::sca::stage_one(network, task)?,
-        Strategy::Rsa => {
-            return Err(CoreError::InvalidTask {
-                reason: "RSA is randomized; call solve_with_rng".into(),
-            })
-        }
-    };
-    finish(network, task, chain, options.stage_two)
-}
-
-/// Solves with an explicit RNG; required for [`Strategy::Rsa`], accepted
-/// (and ignored) for the deterministic strategies so sweeps can treat all
-/// three uniformly.
-///
-/// # Errors
-///
-/// Any stage-1 error ([`CoreError::Infeasible`], id mismatches).
-pub fn solve_with_rng<R: Rng + ?Sized>(
-    network: &Network,
-    task: &MulticastTask,
-    strategy: Strategy,
-    stage_two: StageTwo,
-    rng: &mut R,
-) -> Result<SolveResult, CoreError> {
-    solve_with_rng_options(network, task, strategy, SolveOptions::new(stage_two), rng)
-}
-
-/// [`solve_with_rng`] with explicit [`SolveOptions`].
-///
-/// # Errors
-///
-/// Any stage-1 error ([`CoreError::Infeasible`], id mismatches).
-pub fn solve_with_rng_options<R: Rng + ?Sized>(
-    network: &Network,
-    task: &MulticastTask,
-    strategy: Strategy,
-    options: SolveOptions,
-    rng: &mut R,
-) -> Result<SolveResult, CoreError> {
-    if let Some(view) = network.bandwidth_view(task.bandwidth())? {
-        return solve_with_rng_options(&view, task, strategy, options, rng);
-    }
-    let chain = match strategy {
-        Strategy::Msa => crate::msa::stage_one_cancellable(
-            network,
-            task,
-            crate::msa::SteinerMethod::default(),
-            options.parallelism,
-            options.cancel.as_ref(),
-        )?,
-        Strategy::Sca => crate::sca::stage_one(network, task)?,
-        Strategy::Rsa => crate::rsa::stage_one(network, task, rng)?,
+        Strategy::Sca => sca::stage_one(network, task)?,
+        Strategy::Rsa => rsa::stage_one(network, task, &mut StdRng::seed_from_u64(options.seed))?,
     };
     finish(network, task, chain, options.stage_two)
 }
@@ -543,8 +424,6 @@ mod tests {
     use super::*;
     use crate::validate::is_valid;
     use crate::vnf::{Sfc, VnfCatalog, VnfId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use sft_graph::{Graph, NodeId};
 
     fn fixture() -> (Network, MulticastTask) {
@@ -566,30 +445,57 @@ mod tests {
         (net, task)
     }
 
-    #[test]
-    fn all_strategies_produce_valid_solutions() {
-        let (net, task) = fixture();
-        let mut rng = StdRng::seed_from_u64(1);
-        for strat in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-            let r = solve_with_rng(&net, &task, strat, StageTwo::Opa, &mut rng).unwrap();
-            assert!(is_valid(&net, &task, &r.embedding), "{strat:?}");
-            assert!(r.cost.total() <= r.stage1_cost + 1e-9, "{strat:?}");
+    fn rsa(seed: u64) -> SolveOptions<'static> {
+        SolveOptions {
+            strategy: Strategy::Rsa,
+            seed,
+            ..SolveOptions::default()
         }
     }
 
     #[test]
-    fn solve_rejects_rsa_without_rng() {
+    fn all_strategies_produce_valid_solutions() {
         let (net, task) = fixture();
-        assert!(matches!(
-            solve(&net, &task, Strategy::Rsa, StageTwo::Opa),
-            Err(CoreError::InvalidTask { .. })
-        ));
+        for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
+            let options = SolveOptions {
+                strategy,
+                seed: 1,
+                ..SolveOptions::default()
+            };
+            let r = solve(&net, &task, &options).unwrap();
+            assert!(is_valid(&net, &task, &r.embedding), "{strategy:?}");
+            assert!(r.cost.total() <= r.stage1_cost + 1e-9, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn rsa_draws_from_a_fresh_generator_seeded_by_the_options() {
+        let (net, task) = fixture();
+        let mut chains = Vec::new();
+        for seed in [0u64, 1, 2, 3, 7, 42] {
+            let r = solve(&net, &task, &rsa(seed)).unwrap();
+            let chain =
+                crate::rsa::stage_one(&net, &task, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let opa = opa::optimize(&net, &task, &chain).unwrap();
+            assert_eq!(r.chain, chain, "seed {seed}");
+            assert_eq!(r.embedding, opa.embedding, "seed {seed}");
+            assert_eq!(r.stage1_cost.to_bits(), opa.initial_cost.to_bits());
+            chains.push(chain);
+        }
+        assert!(
+            chains.iter().any(|c| *c != chains[0]),
+            "the seed must reach the draws"
+        );
     }
 
     #[test]
     fn skipping_stage_two_reports_stage1_cost() {
         let (net, task) = fixture();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Skip).unwrap();
+        let options = SolveOptions {
+            stage_two: StageTwo::Skip,
+            ..SolveOptions::default()
+        };
+        let r = solve(&net, &task, &options).unwrap();
         assert_eq!(r.stage1_cost, r.cost.total());
         assert!(r.added_instances.is_empty());
     }
@@ -615,9 +521,10 @@ mod tests {
             .unwrap()
             .with_bandwidth(1.0)
             .unwrap();
+        let options = SolveOptions::default();
 
         // Link is empty: the direct edge carries the session.
-        let direct = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let direct = solve(&net, &task, &options).unwrap();
         assert_eq!(direct.cost.link, 1.0);
         let delta = net.commit_delta(&task, &direct.embedding);
         assert_eq!(delta.edges(), &[(EdgeId(0), 1.0)]);
@@ -625,7 +532,7 @@ mod tests {
 
         // Link is now full: the same task must detour via node 2 and its
         // commit must charge the detour edges, not the saturated one.
-        let detour = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let detour = solve(&net, &task, &options).unwrap();
         assert_eq!(detour.cost.link, 4.0);
         let detour_delta = net.commit_delta(&task, &detour.embedding);
         assert_eq!(detour_delta.edges(), &[(EdgeId(1), 1.0), (EdgeId(2), 1.0)]);
@@ -637,15 +544,66 @@ mod tests {
             .with_bandwidth(100.0)
             .unwrap();
         assert!(matches!(
-            solve(&net, &too_wide, Strategy::Msa, StageTwo::Opa),
+            solve(&net, &too_wide, &options),
             Err(CoreError::Infeasible { .. })
         ));
 
         // Releasing the first session restores the direct link exactly.
         net.apply_release(&delta).unwrap();
         assert_eq!(net.edge_residual(EdgeId(0)), 1.0);
-        let again = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let again = solve(&net, &task, &options).unwrap();
         assert_eq!(again.cost.link, 1.0);
+    }
+
+    #[test]
+    fn a_bandwidth_view_never_touches_the_shared_cache() {
+        // A ring whose 0-1 link is too narrow for the task's demand.
+        let mut g = Graph::new(6);
+        for i in 0..6 {
+            let capacity = if i == 0 { 1.0 } else { 10.0 };
+            g.add_edge_with_capacity(NodeId(i), NodeId((i + 1) % 6), 1.0, Some(capacity))
+                .unwrap();
+        }
+        let net = Network::builder(g, VnfCatalog::uniform(2))
+            .all_servers(3.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let free = MulticastTask::new(
+            NodeId(0),
+            vec![NodeId(2), NodeId(4)],
+            Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
+        )
+        .unwrap();
+        let wide = free.clone().with_bandwidth(2.0).unwrap();
+        assert!(net.bandwidth_view(wide.bandwidth()).unwrap().is_some());
+
+        let cache = SteinerCache::new();
+        let cached = SolveOptions {
+            cache: Some(&cache),
+            ..SolveOptions::default()
+        };
+        // Warm the cache on the full topology, then take its counters.
+        solve(&net, &free, &cached).unwrap();
+        let before = (cache.len(), cache.hits(), cache.misses());
+        assert!(before.0 > 0);
+
+        let with = solve(&net, &wide, &cached).unwrap();
+        let without = solve(&net, &wide, &SolveOptions::default()).unwrap();
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), before);
+        assert_eq!(with.chain, without.chain);
+        assert_eq!(with.embedding, without.embedding);
+        assert_eq!(with.cost.total().to_bits(), without.cost.total().to_bits());
+        assert_eq!(with.stage1_cost.to_bits(), without.stage1_cost.to_bits());
+        assert_eq!(with.added_instances, without.added_instances);
+        // The view routes around the narrow link.
+        let narrow = |w: &[NodeId]| matches!((w[0].0, w[1].0), (0, 1) | (1, 0));
+        assert!(with
+            .embedding
+            .routes()
+            .iter()
+            .flat_map(|r| r.segments())
+            .all(|seg| !seg.windows(2).any(narrow)));
     }
 
     #[test]
@@ -670,14 +628,15 @@ mod tests {
             Sfc::new(vec![VnfId(0)]).unwrap(),
         )
         .unwrap();
+        let options = SolveOptions::default();
 
         // Unconstrained: the slow arm carries the flow, no delay reported.
-        let free = solve(&net, &base, Strategy::Msa, StageTwo::Opa).unwrap();
+        let free = solve(&net, &base, &options).unwrap();
         assert_eq!(free.max_path_delay, None);
 
         // Budget 6 forces the repair onto the fast arm (delay 2+2+1 = 5).
         let task = base.clone().with_delay_budget(6.0).unwrap();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = solve(&net, &task, &options).unwrap();
         assert!(is_valid(&net, &task, &r.embedding));
         let delay = r.max_path_delay.unwrap();
         assert!((delay - 5.0).abs() < 1e-9, "delay {delay}");
@@ -685,7 +644,7 @@ mod tests {
         // Budget 3 is below the minimum achievable delay: structured error.
         let tight = base.with_delay_budget(3.0).unwrap();
         assert!(matches!(
-            solve(&net, &tight, Strategy::Msa, StageTwo::Opa),
+            solve(&net, &tight, &options),
             Err(CoreError::DelayInfeasible { .. })
         ));
     }
@@ -693,13 +652,11 @@ mod tests {
     #[test]
     fn msa_beats_or_ties_rsa_on_average() {
         let (net, task) = fixture();
-        let msa = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let msa = solve(&net, &task, &SolveOptions::default()).unwrap();
         let mut total = 0.0;
         let runs = 10;
         for seed in 0..runs {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rsa = solve_with_rng(&net, &task, Strategy::Rsa, StageTwo::Opa, &mut rng).unwrap();
-            total += rsa.cost.total();
+            total += solve(&net, &task, &rsa(seed)).unwrap().cost.total();
         }
         assert!(msa.cost.total() <= total / runs as f64 + 1e-9);
     }

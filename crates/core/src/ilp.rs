@@ -494,8 +494,7 @@ mod tests {
         let model = IlpModel::build(&net, &task).unwrap();
         let out = model.solve(&net, &task, &MipConfig::default()).unwrap();
         let opt = out.objective.unwrap();
-        let heuristic =
-            crate::solve(&net, &task, crate::Strategy::Msa, crate::StageTwo::Opa).unwrap();
+        let heuristic = crate::solve(&net, &task, &crate::SolveOptions::default()).unwrap();
         assert!(heuristic.cost.total() >= opt - 1e-6);
         assert!(out.bound <= opt + 1e-6);
     }
@@ -503,8 +502,7 @@ mod tests {
     #[test]
     fn warm_start_round_trips_through_the_model() {
         let (net, task) = small();
-        let heuristic =
-            crate::solve(&net, &task, crate::Strategy::Msa, crate::StageTwo::Opa).unwrap();
+        let heuristic = crate::solve(&net, &task, &crate::SolveOptions::default()).unwrap();
         let model = IlpModel::build(&net, &task).unwrap();
         let ws = model
             .warm_start(&net, &task, &heuristic.embedding)
@@ -605,13 +603,13 @@ mod tests {
         let out = model.solve(&net, &tight, &MipConfig::default()).unwrap();
         assert_eq!(out.status, MipStatus::Infeasible);
         assert!(matches!(
-            crate::solve(&net, &tight, crate::Strategy::Msa, crate::StageTwo::Opa),
+            crate::solve(&net, &tight, &crate::SolveOptions::default()),
             Err(CoreError::DelayInfeasible { .. })
         ));
 
         // Budget 6 is feasible for both, and the heuristic respects it.
         let loose = task.with_delay_budget(6.0).unwrap();
-        let h = crate::solve(&net, &loose, crate::Strategy::Msa, crate::StageTwo::Opa).unwrap();
+        let h = crate::solve(&net, &loose, &crate::SolveOptions::default()).unwrap();
         assert!(is_valid(&net, &loose, &h.embedding));
         assert!(h.max_path_delay.unwrap() <= 6.0 + 1e-9);
     }

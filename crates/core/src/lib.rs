@@ -23,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use sft_core::{solve, Strategy, StageTwo};
+//! use sft_core::{solve, SolveOptions};
 //! use sft_core::{MulticastTask, Network, Sfc, VnfCatalog, VnfId};
 //! use sft_graph::{Graph, NodeId};
 //!
@@ -44,7 +44,8 @@
 //!     Sfc::new(vec![VnfId(0), VnfId(1)])?,
 //! )?;
 //!
-//! let result = solve(&network, &task, Strategy::Msa, StageTwo::Opa)?;
+//! // MSA stage 1, then OPA: the paper's two-stage pipeline.
+//! let result = solve(&network, &task, &SolveOptions::default())?;
 //! assert!(sft_core::validate::is_valid(&network, &task, &result.embedding));
 //! println!("delivery cost: {}", result.cost.total());
 //! # Ok(())
@@ -72,10 +73,7 @@ pub mod validate;
 pub mod viz;
 pub mod vnf;
 
-pub use api::{
-    solve, solve_with_cache, solve_with_options, solve_with_rng, solve_with_rng_options,
-    SolveOptions, SolveResult, StageTwo, Strategy,
-};
+pub use api::{solve, SolveOptions, SolveResult, StageTwo, Strategy};
 pub use chain::ChainSolution;
 pub use cost::{delivery_cost, CostBreakdown};
 pub use embedding::{DestinationRoute, Embedding};

@@ -47,7 +47,9 @@ pub enum SteinerMethod {
 /// relative) can never lift a bound above the cost the row computes.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Runs MSA stage 1, returning the best chain-plus-tree solution.
+/// Runs MSA stage 1 with KMB trees, returning the best chain-plus-tree
+/// solution. [`crate::solve`] runs the whole pipeline; this is stage 1
+/// alone, in the shape of [`crate::sca::stage_one`].
 ///
 /// # Errors
 ///
@@ -56,42 +58,12 @@ const BOUND_SLACK: f64 = 1e-9;
 /// * [`CoreError::Infeasible`] when no candidate yields a feasible
 ///   embedding (disconnected destinations or exhausted capacity).
 pub fn stage_one(network: &Network, task: &MulticastTask) -> Result<ChainSolution, CoreError> {
-    stage_one_with(network, task, SteinerMethod::Kmb)
+    sweep(network, task, SteinerMethod::Kmb, None, None)
 }
 
-/// Runs MSA stage 1 with an explicit Steiner construction (ablation hook).
-///
-/// # Errors
-///
-/// Same conditions as [`stage_one`].
-pub fn stage_one_with(
-    network: &Network,
-    task: &MulticastTask,
-    method: SteinerMethod,
-) -> Result<ChainSolution, CoreError> {
-    stage_one_with_options(network, task, method, Parallelism::auto())
-}
-
-/// Runs MSA stage 1 with an explicit Steiner construction.
-///
-/// The sweep runs on the calling thread for every `parallelism`: one
-/// incumbent prunes every row, and the rows it visits (and so the Steiner
-/// cache's counters) do not depend on the host's core count. The argument
-/// is kept for callers that pass one thread count to every stage.
-///
-/// # Errors
-///
-/// Same conditions as [`stage_one`].
-pub fn stage_one_with_options(
-    network: &Network,
-    task: &MulticastTask,
-    method: SteinerMethod,
-    parallelism: Parallelism,
-) -> Result<ChainSolution, CoreError> {
-    stage_one_cancellable(network, task, method, parallelism, None)
-}
-
-/// [`stage_one_with_options`] with a cooperative [`CancelToken`].
+/// Runs MSA stage 1 with an explicit Steiner construction and a
+/// cooperative [`CancelToken`]. The sweep runs on the calling thread for
+/// every `parallelism`, which it ignores.
 ///
 /// The token is polled once per visited candidate row and inside lazy
 /// distance-row computation, so a mid-solve cancellation interrupts
@@ -114,7 +86,8 @@ pub fn stage_one_cancellable(
     sweep(network, task, method, None, cancel)
 }
 
-/// Runs MSA stage 1 against a persistent, externally owned Steiner cache.
+/// [`stage_one_cancellable`] against a persistent, externally owned
+/// Steiner cache.
 ///
 /// This is the long-running-service entry point: the cache outlives the
 /// solve, so trees built for one task are reused by later tasks that share
@@ -123,29 +96,12 @@ pub fn stage_one_cancellable(
 /// never on capacities or deployments — so the cache stays valid across
 /// committed embeddings and must only be flushed when the graph itself
 /// changes (see [`sft_graph::cache`] for the full contract). Results are
-/// bit-identical to [`stage_one_with_options`]: a cached tree is exactly
-/// the tree a fresh computation would build. `parallelism` is ignored, as
-/// in [`stage_one_with_options`].
+/// bit-identical to [`stage_one_cancellable`]: a cached tree is exactly
+/// the tree a fresh computation would build.
 ///
 /// One cache must serve a single [`SteinerMethod`] — trees are keyed by
 /// terminals only, so mixing constructions on one cache would conflate
 /// their (different) trees.
-///
-/// # Errors
-///
-/// Same conditions as [`stage_one`].
-pub fn stage_one_with_cache(
-    network: &Network,
-    task: &MulticastTask,
-    method: SteinerMethod,
-    parallelism: Parallelism,
-    cache: &SteinerCache,
-) -> Result<ChainSolution, CoreError> {
-    stage_one_with_cache_cancellable(network, task, method, parallelism, cache, None)
-}
-
-/// [`stage_one_with_cache`] with a cooperative [`CancelToken`] — see
-/// [`stage_one_cancellable`] for the cancellation contract.
 ///
 /// # Errors
 ///
@@ -171,8 +127,9 @@ struct Decoded {
     chain: f64,
 }
 
-/// The bound-and-prune sweep behind every `stage_one_*` entry, against a
-/// persistent cache (`shared`) or a per-solve map.
+/// The bound-and-prune sweep behind [`crate::solve`] and every
+/// `stage_one_*` entry, against a persistent cache (`shared`) or a
+/// per-solve map.
 ///
 /// A row's bound `B` is its exact chain cost plus `max_d dist(d, w)`: a
 /// tree spanning `{w} ∪ D` contains a `w`–`d` path for every destination,
@@ -183,7 +140,7 @@ struct Decoded {
 /// equals it at a higher row. The incumbent changes on a lower cost, or on
 /// an equal cost at a lower row, so the winner is the exhaustive sweep's
 /// lowest-row minimum.
-fn sweep(
+pub(crate) fn sweep(
     network: &Network,
     task: &MulticastTask,
     method: SteinerMethod,
@@ -535,8 +492,11 @@ mod tests {
     fn takahashi_variant_is_feasible_and_comparable() {
         let net = ring_net(5.0);
         let task = a_task();
-        let kmb = stage_one_with(&net, &task, SteinerMethod::Kmb).unwrap();
-        let tm = stage_one_with(&net, &task, SteinerMethod::Takahashi).unwrap();
+        let with = |method| {
+            stage_one_cancellable(&net, &task, method, Parallelism::sequential(), None).unwrap()
+        };
+        let (kmb, tm) = (with(SteinerMethod::Kmb), with(SteinerMethod::Takahashi));
+        assert_eq!(kmb, stage_one(&net, &task).unwrap());
         for chain in [&kmb, &tm] {
             let emb = chain.to_embedding(&net, &task).unwrap();
             assert!(is_valid(&net, &task, &emb));
@@ -551,55 +511,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        for capacity in [1.0, 5.0] {
-            let net = ring_net(capacity);
-            let task = a_task();
-            let seq =
-                stage_one_with_options(&net, &task, SteinerMethod::Kmb, Parallelism::sequential())
-                    .unwrap();
-            for threads in [2usize, 3, 8] {
-                let par = stage_one_with_options(
-                    &net,
-                    &task,
-                    SteinerMethod::Kmb,
-                    Parallelism::new(threads),
-                )
-                .unwrap();
-                assert_eq!(seq.placement, par.placement, "threads={threads}");
-                assert_eq!(seq.steiner_edges, par.steiner_edges, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_cache_is_bit_identical_and_reused_across_solves() {
         let net = ring_net(5.0);
         let task = a_task();
         let plain = stage_one(&net, &task).unwrap();
         let cache = SteinerCache::new();
-        let first = stage_one_with_cache(
-            &net,
-            &task,
-            SteinerMethod::Kmb,
-            Parallelism::sequential(),
-            &cache,
-        )
-        .unwrap();
+        let cached = |parallelism| {
+            stage_one_with_cache_cancellable(
+                &net,
+                &task,
+                SteinerMethod::Kmb,
+                parallelism,
+                &cache,
+                None,
+            )
+            .unwrap()
+        };
+        let first = cached(Parallelism::sequential());
         assert_eq!(plain, first);
         assert!(cache.misses() > 0, "first solve populates the cache");
         let hits_before = cache.hits();
         // Same task again, different thread count: every tree is served
         // from the cache and the answer does not change.
         for threads in [1usize, 2, 5] {
-            let again = stage_one_with_cache(
-                &net,
-                &task,
-                SteinerMethod::Kmb,
-                Parallelism::new(threads),
-                &cache,
-            )
-            .unwrap();
+            let again = cached(Parallelism::new(threads));
             assert_eq!(plain, again, "threads={threads}");
         }
         assert!(cache.hits() > hits_before, "repeat solves must hit");
@@ -689,12 +624,13 @@ mod tests {
         )
         .is_some());
         // A clean solve over the same cache then succeeds normally.
-        let chain = stage_one_with_cache(
+        let chain = stage_one_with_cache_cancellable(
             &net,
             &task,
             SteinerMethod::Kmb,
             Parallelism::sequential(),
             &cache,
+            None,
         )
         .unwrap();
         assert_eq!(chain, stage_one(&net, &task).unwrap());

@@ -153,11 +153,13 @@ pub struct Network {
     capacity: Vec<f64>,
     catalog: VnfCatalog,
     setup_cost: Vec<Vec<f64>>,
-    /// Per-(VNF, node) live reference counts. An instance exists iff its
+    /// Per-(VNF, node) live reference counts, node-major: the count of
+    /// `f` on `v` sits at `v * k + f` for a catalog of `k` types, so a
+    /// node's counts are one contiguous run. An instance exists iff its
     /// count is positive; capacity is consumed once per live instance,
     /// not per reference. Builder pre-deployments enter with one pinned
     /// reference that no session owns, so they are never released.
-    deployed: Vec<Vec<u32>>,
+    deployed: Vec<u32>,
     /// Per-edge committed bandwidth, index-aligned with the graph's dense
     /// edge ids (0.0 for uncapacitated edges, which are never charged).
     edge_used: Vec<f64>,
@@ -251,11 +253,24 @@ impl Network {
     ///
     /// Panics if `v` is out of bounds.
     pub fn deployed_load(&self, v: NodeId) -> f64 {
-        self.catalog
-            .ids()
-            .filter(|&f| self.deployed[f.0][v.0] > 0)
-            .map(|f| self.catalog.demand(f))
+        self.refs_on(v)
+            .iter()
+            .zip(self.catalog.ids())
+            .filter(|&(&refs, _)| refs > 0)
+            .map(|(_, f)| self.catalog.demand(f))
             .sum()
+    }
+
+    /// The reference counts of every catalog type on `v`, in type order.
+    fn refs_on(&self, v: NodeId) -> &[u32] {
+        let k = self.catalog.len();
+        &self.deployed[v.0 * k..(v.0 + 1) * k]
+    }
+
+    /// The reference count of `f` on `v`.
+    fn refs_mut(&mut self, f: VnfId, v: NodeId) -> &mut u32 {
+        let k = self.catalog.len();
+        &mut self.deployed[v.0 * k..(v.0 + 1) * k][f.0]
     }
 
     /// Capacity left on `v` after accounting for already-deployed
@@ -395,10 +410,11 @@ impl Network {
         &'a self,
         task: &'a crate::task::MulticastTask,
     ) -> impl Iterator<Item = VnfId> + 'a {
+        let k = self.catalog.len();
         self.catalog
             .ids()
             .filter(|&f| task.sfc().stages().contains(&f))
-            .filter(|&f| !self.deployed[f.0].iter().any(|&refs| refs > 0))
+            .filter(move |&f| !self.deployed.iter().skip(f.0).step_by(k).any(|&r| r > 0))
     }
 
     /// Whether an instance of `f` is already deployed on `v` (`π_{f,v}`).
@@ -407,7 +423,7 @@ impl Network {
     ///
     /// Panics if either id is out of bounds.
     pub fn is_deployed(&self, f: VnfId, v: NodeId) -> bool {
-        self.deployed[f.0][v.0] > 0
+        self.refcount(f, v) > 0
     }
 
     /// The number of live references held against the instance of `f` on
@@ -417,7 +433,7 @@ impl Network {
     ///
     /// Panics if either id is out of bounds.
     pub fn refcount(&self, f: VnfId, v: NodeId) -> u32 {
-        self.deployed[f.0][v.0]
+        self.refs_on(v)[f.0]
     }
 
     /// Raw setup cost `γ_{f,v}` of placing a *new* instance of `f` on `v`,
@@ -437,7 +453,7 @@ impl Network {
     ///
     /// Panics if either id is out of bounds.
     pub fn effective_setup_cost(&self, f: VnfId, v: NodeId) -> f64 {
-        if self.deployed[f.0][v.0] > 0 {
+        if self.is_deployed(f, v) {
             0.0
         } else {
             self.setup_cost[f.0][v.0]
@@ -466,7 +482,7 @@ impl Network {
         if !self.servers[v.0] {
             return Err(CoreError::NotAServer { node: v.0 });
         }
-        if self.deployed[f.0][v.0] > 0 {
+        if self.is_deployed(f, v) {
             return Ok(());
         }
         let load = self.deployed_load(v) + self.catalog.demand(f);
@@ -477,7 +493,7 @@ impl Network {
                 load,
             });
         }
-        self.deployed[f.0][v.0] = 1;
+        *self.refs_mut(f, v) = 1;
         Ok(())
     }
 
@@ -556,7 +572,7 @@ impl Network {
             // instance has meanwhile been released re-creates it.
             let new_load: f64 = delta
                 .usage()
-                .filter(|&(f, u)| u == v && self.deployed[f.0][u.0] == 0)
+                .filter(|&(f, u)| u == v && !self.is_deployed(f, u))
                 .map(|(f, _)| self.catalog.demand(f))
                 .sum();
             let load = self.deployed_load(v) + new_load;
@@ -619,7 +635,7 @@ impl Network {
     pub fn apply_delta(&mut self, delta: &CommitDelta) -> Result<(), CoreError> {
         self.validate_delta(delta)?;
         for (f, v) in delta.usage() {
-            self.deployed[f.0][v.0] += 1;
+            *self.refs_mut(f, v) += 1;
         }
         for &(e, b) in delta.edges() {
             self.edge_used[e.0] += b;
@@ -646,7 +662,7 @@ impl Network {
         for (f, v) in delta.usage() {
             self.catalog.check(f)?;
             self.check_node(v)?;
-            if self.deployed[f.0][v.0] == 0 {
+            if !self.is_deployed(f, v) {
                 return Err(CoreError::InstanceNotDeployed {
                     vnf: f.0,
                     node: v.0,
@@ -692,8 +708,9 @@ impl Network {
         self.validate_release(delta)?;
         let mut freed = Vec::new();
         for (f, v) in delta.usage() {
-            self.deployed[f.0][v.0] -= 1;
-            if self.deployed[f.0][v.0] == 0 {
+            let refs = self.refs_mut(f, v);
+            *refs -= 1;
+            if *refs == 0 {
                 freed.push((f, v));
             }
         }
@@ -736,15 +753,10 @@ impl Network {
     /// costs are immutable after build, so two networks built alike with
     /// equal deployment sets are byte-equivalent for every solver).
     pub fn deployed_pairs(&self) -> Vec<(VnfId, NodeId)> {
-        let mut out = Vec::new();
-        for f in self.catalog.ids() {
-            for v in 0..self.node_count() {
-                if self.deployed[f.0][v] > 0 {
-                    out.push((f, NodeId(v)));
-                }
-            }
-        }
-        out
+        self.deployment_refcounts()
+            .into_iter()
+            .map(|(f, v, _)| (f, v))
+            .collect()
     }
 
     /// Every live `(VNF, node, refcount)` triple, in canonical order —
@@ -754,9 +766,10 @@ impl Network {
     pub fn deployment_refcounts(&self) -> Vec<(VnfId, NodeId, u32)> {
         let mut out = Vec::new();
         for f in self.catalog.ids() {
-            for v in 0..self.node_count() {
-                if self.deployed[f.0][v] > 0 {
-                    out.push((f, NodeId(v), self.deployed[f.0][v]));
+            for v in self.graph.nodes() {
+                let refs = self.refcount(f, v);
+                if refs > 0 {
+                    out.push((f, v, refs));
                 }
             }
         }
@@ -942,10 +955,9 @@ impl NetworkBuilder {
                 });
             }
         }
-        let deployed = self
-            .deployed
-            .iter()
-            .map(|row| row.iter().map(|&d| u32::from(d)).collect())
+        let k = self.catalog.len();
+        let deployed = (0..self.graph.node_count() * k)
+            .map(|i| u32::from(self.deployed[i % k][i / k]))
             .collect();
         let edge_count = self.graph.edge_count();
         let servers = (0..self.graph.node_count())

@@ -9,11 +9,10 @@
 //! result's instances, and keeps per-task statistics — so the reuse
 //! benefit can be measured across a task sequence.
 
-use crate::api::{solve_with_rng, SolveResult, StageTwo, Strategy};
+use crate::api::{solve, SolveOptions, SolveResult, Strategy};
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
-use rand::Rng;
 
 /// Statistics recorded for one embedded task.
 #[derive(Clone, Debug)]
@@ -38,7 +37,8 @@ pub struct SequentialEmbedder {
 
 impl SequentialEmbedder {
     /// Creates an embedder that owns `network` and solves every task with
-    /// `strategy` (+ OPA).
+    /// `strategy` (+ OPA). RSA draws from [`SolveOptions::default`]'s
+    /// seed on every task.
     pub fn new(network: Network, strategy: Strategy) -> Self {
         SequentialEmbedder {
             network,
@@ -63,12 +63,12 @@ impl SequentialEmbedder {
     ///
     /// Solve errors ([`CoreError::Infeasible`] once capacity runs dry,
     /// id mismatches); the network is only mutated on success.
-    pub fn embed<R: Rng + ?Sized>(
-        &mut self,
-        task: &MulticastTask,
-        rng: &mut R,
-    ) -> Result<SolveResult, CoreError> {
-        let result = solve_with_rng(&self.network, task, self.strategy, StageTwo::Opa, rng)?;
+    pub fn embed(&mut self, task: &MulticastTask) -> Result<SolveResult, CoreError> {
+        let options = SolveOptions {
+            strategy: self.strategy,
+            ..SolveOptions::default()
+        };
+        let result = solve(&self.network, task, &options)?;
         let typed = result.embedding.typed_instances(task);
         let new = result.embedding.new_instances(&self.network, task);
         let record = TaskRecord {
@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use crate::vnf::{Sfc, VnfCatalog, VnfId};
     use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::{Rng, RngExt, SeedableRng};
     use sft_graph::NodeId;
 
     fn ring_network(n: usize, capacity: f64) -> Network {
@@ -136,7 +136,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..8 {
             let task = random_task(10, &mut rng);
-            emb.embed(&task, &mut rng).unwrap();
+            emb.embed(&task).unwrap();
         }
         assert_eq!(emb.history().len(), 8);
         // Later tasks must reuse: the ring only has 2 chain types deployed
@@ -156,10 +156,9 @@ mod tests {
             Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
         )
         .unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let first = emb.embed(&task, &mut rng).unwrap();
+        let first = emb.embed(&task).unwrap();
         assert!(first.cost.setup > 0.0);
-        let second = emb.embed(&task, &mut rng).unwrap();
+        let second = emb.embed(&task).unwrap();
         assert_eq!(second.cost.setup, 0.0, "second run reuses everything");
         assert!(second.cost.total() <= first.cost.total());
         assert_eq!(emb.history()[1].new_instances, 0);
@@ -175,8 +174,7 @@ mod tests {
             Sfc::new(vec![VnfId(0)]).unwrap(),
         )
         .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        assert!(emb.embed(&task, &mut rng).is_err());
+        assert!(emb.embed(&task).is_err());
         assert!(emb.history().is_empty());
         assert_eq!(emb.reuse_ratio(), 0.0);
         for v in emb.network().graph().nodes() {

@@ -85,7 +85,7 @@ impl EmbeddingStats {
 mod tests {
     use super::*;
     use crate::vnf::{Sfc, VnfCatalog, VnfId};
-    use crate::{solve, StageTwo, Strategy};
+    use crate::{solve, SolveOptions};
     use sft_graph::{Graph, NodeId};
 
     fn fixture() -> (Network, MulticastTask) {
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn stats_are_internally_consistent() {
         let (net, task) = fixture();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = solve(&net, &task, &SolveOptions::default()).unwrap();
         let s = EmbeddingStats::collect(&net, &task, &r.embedding).unwrap();
         // Cost agrees with the solve result.
         assert!((s.cost.total() - r.cost.total()).abs() < 1e-9);
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn reuse_ratio_reflects_deployments() {
         let (net, task) = fixture();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = solve(&net, &task, &SolveOptions::default()).unwrap();
         let s = EmbeddingStats::collect(&net, &task, &r.embedding).unwrap();
         // f0 is deployed on node 2; if the solver used it, reuse > 0.
         let used_deployed = r

@@ -195,7 +195,7 @@ pub fn sft_dot(tree: &SftTree) -> String {
 mod tests {
     use super::*;
     use crate::vnf::{Sfc, VnfCatalog, VnfId};
-    use crate::{solve, StageTwo, Strategy};
+    use crate::{solve, SolveOptions};
     use sft_graph::{Graph, NodeId};
 
     fn fixture() -> (Network, MulticastTask) {
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn embedding_dot_highlights_instances_and_endpoints() {
         let (net, task) = fixture();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = solve(&net, &task, &SolveOptions::default()).unwrap();
         let dot = embedding_dot(&net, &task, &r.embedding).unwrap();
         assert!(dot.contains("doublecircle"), "source marker missing");
         assert!(dot.contains("doubleoctagon"), "destination marker missing");
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn sft_dot_is_a_digraph_of_the_logical_tree() {
         let (net, task) = fixture();
-        let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = solve(&net, &task, &SolveOptions::default()).unwrap();
         let tree = SftTree::extract(&task, &r.embedding).unwrap();
         let dot = sft_dot(&tree);
         assert!(dot.starts_with("digraph sft {"));

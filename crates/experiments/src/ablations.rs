@@ -13,7 +13,7 @@ use crate::record::FigureData;
 use crate::{Effort, ExperimentError};
 use sft_core::ilp::IlpModel;
 use sft_core::msa::{self, SteinerMethod};
-use sft_core::{opa, CoreError, StageTwo, Strategy};
+use sft_core::{opa, CoreError, SolveOptions};
 use sft_lp::MipConfig;
 use sft_topology::{generate, palmetto, workload, ScenarioConfig};
 use std::time::{Duration, Instant};
@@ -130,10 +130,13 @@ pub fn steiner_choice(effort: Effort) -> Result<FigureData, ExperimentError> {
                 ("MSA+TM", SteinerMethod::Takahashi),
             ] {
                 let t = Instant::now();
-                let chain = msa::stage_one_with(&s.network, &s.task, method)?;
-                let out = opa::optimize(&s.network, &s.task, &chain)?;
+                let options = SolveOptions {
+                    steiner: method,
+                    ..SolveOptions::default()
+                };
+                let r = sft_core::solve(&s.network, &s.task, &options)?;
                 let ms = t.elapsed().as_secs_f64() * 1e3;
-                fig.record(row, label, out.cost, ms)?;
+                fig.record(row, label, r.cost.total(), ms)?;
             }
         }
     }
@@ -232,7 +235,7 @@ pub fn warm_start_effect(effort: Effort) -> Result<FigureData, ExperimentError> 
             let seed = 900 * (pi as u64 + 1) + rep as u64;
             let s = workload::on_graph(palmetto::reduced_graph(10), &config, seed)?;
             let model = IlpModel::build(&s.network, &s.task)?;
-            let heuristic = sft_core::solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa)?;
+            let heuristic = sft_core::solve(&s.network, &s.task, &SolveOptions::default())?;
             for (label, warm) in [
                 ("cold B&B", None),
                 (

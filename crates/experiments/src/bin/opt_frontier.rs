@@ -12,7 +12,7 @@
 //! Pass `--quick` for the small sizes only.
 
 use sft_core::ilp::IlpModel;
-use sft_core::{StageTwo, Strategy};
+use sft_core::SolveOptions;
 use sft_experiments::Effort;
 use sft_lp::{BackendChoice, MipConfig, MipStatus};
 use sft_topology::{palmetto, workload, ScenarioConfig};
@@ -48,13 +48,9 @@ fn main() {
                 continue;
             }
         };
-        let heuristic = sft_core::solve(
-            &scenario.network,
-            &scenario.task,
-            Strategy::Msa,
-            StageTwo::Opa,
-        )
-        .expect("MSA solves every connected instance");
+        let heuristic =
+            sft_core::solve(&scenario.network, &scenario.task, &SolveOptions::default())
+                .expect("MSA solves every connected instance");
         let model = IlpModel::build(&scenario.network, &scenario.task).expect("model builds");
         let mip = MipConfig {
             backend: BackendChoice::Revised,

@@ -6,7 +6,7 @@
 //! Pass `--quick` for fewer instances.
 
 use sft_core::ilp::IlpModel;
-use sft_core::{StageTwo, Strategy};
+use sft_core::SolveOptions;
 use sft_experiments::Effort;
 use sft_lp::{MipConfig, MipStatus};
 use sft_topology::{generate, ScenarioConfig};
@@ -34,8 +34,7 @@ fn main() {
             skipped += 1;
             continue;
         };
-        let Ok(heuristic) = sft_core::solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa)
-        else {
+        let Ok(heuristic) = sft_core::solve(&s.network, &s.task, &SolveOptions::default()) else {
             skipped += 1;
             continue;
         };

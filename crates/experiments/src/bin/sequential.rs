@@ -55,7 +55,7 @@ fn main() {
         }
         let task = MulticastTask::new(source, dests, Sfc::new(types[..4].to_vec()).unwrap())
             .expect("valid task");
-        match embedder.embed(&task, &mut rng) {
+        match embedder.embed(&task) {
             Ok(_) => {
                 let rec = embedder.history().last().unwrap();
                 println!(

@@ -10,7 +10,7 @@ use crate::record::{FigureData, SolverTelemetry};
 use crate::runner::{run_heuristics, HeuristicRun};
 use crate::{Effort, ExperimentError};
 use sft_core::ilp::IlpModel;
-use sft_core::{CoreError, StageTwo, Strategy};
+use sft_core::{CoreError, SolveOptions};
 use sft_graph::parallel::{run_partitioned, Parallelism};
 use sft_lp::{MipConfig, MipStatus};
 use sft_topology::{generate, palmetto, workload, Scenario, ScenarioConfig};
@@ -253,14 +253,9 @@ pub fn fig13_opt(effort: Effort) -> Result<FigureData, ExperimentError> {
 
             // Exact solve, warm-started from the MSA solution.
             let model = IlpModel::build(&scenario.network, &scenario.task)?;
-            let warm = sft_core::solve(
-                &scenario.network,
-                &scenario.task,
-                Strategy::Msa,
-                StageTwo::Opa,
-            )
-            .ok()
-            .and_then(|r| model.warm_start(&scenario.network, &scenario.task, &r.embedding));
+            let warm = sft_core::solve(&scenario.network, &scenario.task, &SolveOptions::default())
+                .ok()
+                .and_then(|r| model.warm_start(&scenario.network, &scenario.task, &r.embedding));
             let mip = MipConfig {
                 max_nodes: match effort {
                     Effort::Quick => 200,

@@ -1,8 +1,6 @@
 //! Runs the three heuristics on one scenario and times them.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sft_core::{solve_with_rng, CoreError, StageTwo, Strategy};
+use sft_core::{solve, CoreError, SolveOptions, Strategy};
 use sft_topology::Scenario;
 use std::time::Instant;
 
@@ -37,16 +35,13 @@ pub fn run_heuristics(scenario: &Scenario) -> Result<Vec<HeuristicRun>, CoreErro
         ("SCA", Strategy::Sca),
         ("RSA", Strategy::Rsa),
     ] {
-        let mut rng =
-            StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
-        let start = Instant::now();
-        let r = solve_with_rng(
-            &scenario.network,
-            &scenario.task,
+        let options = SolveOptions {
             strategy,
-            StageTwo::Opa,
-            &mut rng,
-        )?;
+            seed: scenario.seed.wrapping_mul(0x9E37_79B9).wrapping_add(7),
+            ..SolveOptions::default()
+        };
+        let start = Instant::now();
+        let r = solve(&scenario.network, &scenario.task, &options)?;
         let ms = start.elapsed().as_secs_f64() * 1e3;
         debug_assert!(sft_core::validate::is_valid(
             &scenario.network,

@@ -66,6 +66,6 @@ mod tests {
 
     #[test]
     fn tolerances_are_ordered() {
-        assert!(EPS < MIP_TOL);
+        const { assert!(EPS < MIP_TOL) };
     }
 }

@@ -312,13 +312,7 @@ mod tests {
         let t = task(&[0]);
         // Deploy f0 somewhere, then exhaust all remaining capacity checks:
         // a chain served purely by reuse has zero new demand.
-        let r = sft_core::solve_with_options(
-            &net,
-            &t,
-            sft_core::Strategy::Msa,
-            sft_core::SolveOptions::default(),
-        )
-        .unwrap();
+        let r = sft_core::solve(&net, &t, &sft_core::SolveOptions::default()).unwrap();
         net.commit_embedding(&t, &r.embedding).unwrap();
         assert_eq!(net.min_new_demand(&t), 0.0);
         assert!(check_capacity(&net, &t).is_ok());

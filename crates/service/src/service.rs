@@ -2,9 +2,7 @@
 
 use crate::protocol::ErrorCode;
 use crate::stats::ServiceStats;
-use sft_core::{
-    solve_with_cache, CoreError, MulticastTask, Network, SolveOptions, SolveResult, Strategy,
-};
+use sft_core::{solve, CoreError, MulticastTask, Network, SolveOptions, SolveResult, Strategy};
 use sft_graph::parallel::run_partitioned;
 use sft_graph::SteinerCache;
 use std::fmt;
@@ -18,8 +16,8 @@ use std::time::Instant;
 pub enum ServiceError {
     /// A solver or domain error for one task (the service itself stays up).
     Core(CoreError),
-    /// The requested strategy cannot run in the service (RSA needs an RNG
-    /// and would break the bit-determinism contract of the batch API).
+    /// The requested strategy cannot run in the service (RSA is the
+    /// paper's random baseline, not a serving strategy).
     UnsupportedStrategy(Strategy),
     /// A malformed JSONL input line (1-based line number).
     Parse {
@@ -173,7 +171,7 @@ pub enum BatchMode {
     Sequential,
     /// Tasks are independent snapshots of the current network: the batch
     /// fans across worker threads, nothing is committed, and every result
-    /// is bit-identical to a one-shot `solve_with_options` against the
+    /// is bit-identical to a one-shot [`sft_core::solve`] against the
     /// same frozen network — at every thread count.
     Independent,
 }
@@ -254,33 +252,36 @@ struct Counters {
 #[derive(Debug)]
 pub struct EmbedService {
     network: Network,
-    strategy: Strategy,
-    options: SolveOptions,
+    /// Every solve's options, strategy included; each solve plugs in
+    /// `cache` and its own cancel token.
+    options: SolveOptions<'static>,
     cache: SteinerCache,
     counters: Mutex<Counters>,
 }
 
 impl EmbedService {
     /// Creates a service around `network`, solving every task with
-    /// `strategy` under `options`.
+    /// `strategy` under `options`. Solves use the service's own Steiner
+    /// cache, whatever `options.cache` holds.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnsupportedStrategy`] for [`Strategy::Rsa`]: the
-    /// batch API guarantees bit-identical results at every thread count,
-    /// which a randomized stage 1 cannot provide.
+    /// [`ServiceError::UnsupportedStrategy`] for [`Strategy::Rsa`], the
+    /// paper's random baseline.
     pub fn new(
         network: Network,
         strategy: Strategy,
-        options: SolveOptions,
+        options: SolveOptions<'static>,
     ) -> Result<Self, ServiceError> {
         if matches!(strategy, Strategy::Rsa) {
             return Err(ServiceError::UnsupportedStrategy(strategy));
         }
         Ok(EmbedService {
             network,
-            strategy,
-            options,
+            options: SolveOptions {
+                strategy,
+                ..options
+            },
             cache: SteinerCache::new(),
             counters: Mutex::new(Counters::default()),
         })
@@ -433,14 +434,15 @@ impl EmbedService {
         tasks: &[MulticastTask],
     ) -> Vec<Result<SolveResult, ServiceError>> {
         let network = &self.network;
-        let cache = &self.cache;
-        let strategy = self.strategy;
-        let options = &self.options;
+        let options = SolveOptions {
+            cache: Some(&self.cache),
+            ..self.options.clone()
+        };
         let chunks = run_partitioned(self.options.parallelism, tasks.len(), |range| {
             range
                 .map(|i| {
                     let start = Instant::now();
-                    let r = solve_with_cache(network, &tasks[i], strategy, options.clone(), cache);
+                    let r = solve(network, &tasks[i], &options);
                     (r, start.elapsed().as_nanos() as u64)
                 })
                 .collect::<Vec<_>>()
@@ -508,11 +510,14 @@ impl EmbedService {
         cancel: Option<&sft_graph::CancelToken>,
     ) -> (Result<SolveResult, CoreError>, u64) {
         let start = Instant::now();
-        let mut options = self.options.clone();
+        let mut options = SolveOptions {
+            cache: Some(&self.cache),
+            ..self.options.clone()
+        };
         if let Some(token) = cancel {
             options.cancel = Some(token.clone());
         }
-        let result = solve_with_cache(&self.network, task, self.strategy, options, &self.cache);
+        let result = solve(&self.network, task, &options);
         (result, start.elapsed().as_nanos() as u64)
     }
 
@@ -537,7 +542,7 @@ impl EmbedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sft_core::{solve_with_options, SequentialEmbedder, Sfc, VnfCatalog, VnfId};
+    use sft_core::{SequentialEmbedder, Sfc, VnfCatalog, VnfId};
     use sft_graph::{Graph, NodeId, Parallelism};
 
     fn ring_network(n: usize, capacity: f64) -> Network {
@@ -576,23 +581,31 @@ mod tests {
     #[test]
     fn independent_batch_matches_oneshot_solves() {
         let net = ring_network(10, 3.0);
-        let tasks = vec![
+        // Each task is followed by its duplicate, and the first chunk holds
+        // at least two tasks at every thread count below, so one worker
+        // solves a task and then its duplicate. (A duplicate in another
+        // chunk may run alongside its original, and then both miss.)
+        let tasks: Vec<MulticastTask> = [
             task(0, &[3, 6], &[0, 1]),
             task(2, &[5, 9], &[1, 2]),
-            task(0, &[3, 6], &[0, 1]), // duplicate: served from cache
             task(7, &[1, 4], &[0]),
-        ];
+        ]
+        .into_iter()
+        .flat_map(|t| [t.clone(), t])
+        .collect();
         for threads in [1usize, 2, 4] {
             let mut svc = EmbedService::new(
                 ring_network(10, 3.0),
                 Strategy::Msa,
-                SolveOptions::default().with_parallelism(Parallelism::new(threads)),
+                SolveOptions {
+                    parallelism: Parallelism::new(threads),
+                    ..SolveOptions::default()
+                },
             )
             .unwrap();
             let batch = svc.submit_batch(&tasks, BatchMode::Independent);
             for (t, r) in tasks.iter().zip(&batch) {
-                let one =
-                    solve_with_options(&net, t, Strategy::Msa, SolveOptions::default()).unwrap();
+                let one = solve(&net, t, &SolveOptions::default()).unwrap();
                 let r = r.as_ref().unwrap();
                 assert_eq!(one.embedding, r.embedding, "threads={threads}");
                 assert_eq!(one.cost.setup, r.cost.setup);
@@ -601,7 +614,7 @@ mod tests {
             // The duplicate task must be answered from the shared cache.
             assert!(svc.cache().hits() > 0, "threads={threads}");
             let stats = svc.stats();
-            assert_eq!(stats.tasks_served, 4);
+            assert_eq!(stats.tasks_served, 6);
             assert_eq!(stats.commits, 0, "independent mode never commits");
         }
     }
@@ -622,11 +635,9 @@ mod tests {
         let batch = svc.submit_batch(&tasks, BatchMode::Sequential);
 
         // Reference: the existing SequentialEmbedder (solve + commit).
-        use rand::{rngs::StdRng, SeedableRng};
         let mut reference = SequentialEmbedder::new(ring_network(10, 3.0), Strategy::Msa);
-        let mut rng = StdRng::seed_from_u64(0); // unused by MSA
         for (t, r) in tasks.iter().zip(&batch) {
-            let want = reference.embed(t, &mut rng).unwrap();
+            let want = reference.embed(t).unwrap();
             let got = r.as_ref().unwrap();
             assert_eq!(want.embedding, got.embedding);
             assert_eq!(want.cost.setup, got.cost.setup);

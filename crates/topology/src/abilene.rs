@@ -124,13 +124,7 @@ mod tests {
             Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap(),
         )
         .unwrap();
-        let r = sft_core::solve(
-            &net,
-            &task,
-            sft_core::Strategy::Msa,
-            sft_core::StageTwo::Opa,
-        )
-        .unwrap();
+        let r = sft_core::solve(&net, &task, &sft_core::SolveOptions::default()).unwrap();
         assert!(sft_core::validate::is_valid(&net, &task, &r.embedding));
     }
 

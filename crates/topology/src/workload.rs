@@ -517,13 +517,8 @@ mod tests {
         };
         for seed in 0..3 {
             let s = generate(&config, seed).unwrap();
-            let r = sft_core::solve(
-                &s.network,
-                &s.task,
-                sft_core::Strategy::Msa,
-                sft_core::StageTwo::Opa,
-            )
-            .unwrap();
+            let r =
+                sft_core::solve(&s.network, &s.task, &sft_core::SolveOptions::default()).unwrap();
             assert!(sft_core::validate::is_valid(
                 &s.network,
                 &s.task,

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example datacenter_multicast`
 
 use sft::core::viz;
-use sft::core::{solve, SftTree, StageTwo, Strategy};
+use sft::core::{solve, SftTree, SolveOptions};
 use sft::core::{MulticastTask, Network, Sfc, VnfCatalog};
 use sft::graph::generate::fat_tree;
 use sft::graph::NodeId;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Sfc::new(vec![lb, cache])?,
     )?;
 
-    let result = solve(&network, &task, Strategy::Msa, StageTwo::Opa)?;
+    let result = solve(&network, &task, &SolveOptions::default())?;
     println!(
         "delivery cost {:.1} (setup {:.1} + links {:.1})",
         result.cost.total(),

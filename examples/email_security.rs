@@ -9,9 +9,7 @@
 //!
 //! Run with: `cargo run --release --example email_security`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sft::core::{delivery_cost, solve_with_rng, StageTwo, Strategy};
+use sft::core::{delivery_cost, solve, SolveOptions, StageTwo, Strategy};
 use sft::topology::{generate, ScenarioConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,8 +48,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("SCA + OPA", Strategy::Sca, StageTwo::Opa),
         ("RSA + OPA", Strategy::Rsa, StageTwo::Opa),
     ] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let r = solve_with_rng(network, task, strategy, stage2, &mut rng)?;
+        let options = SolveOptions {
+            strategy,
+            stage_two: stage2,
+            seed: 7,
+            ..SolveOptions::default()
+        };
+        let r = solve(network, task, &options)?;
         println!(
             "{label:<28}{:>12.1}{:>10.1}{:>10.1}",
             r.cost.total(),

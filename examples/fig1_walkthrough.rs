@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example fig1_walkthrough`
 
 use sft::core::{delivery_cost, ChainSolution, MulticastTask, Network, Sfc, VnfCatalog, VnfId};
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::graph::{Graph, NodeId};
 
 const S: usize = 0;
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Strategy 3 (paper Fig. 1(d)): let the two-stage algorithm build the
     // service function tree.
-    let sft = solve(&network, &task, Strategy::Msa, StageTwo::Opa)?;
+    let sft = solve(&network, &task, &SolveOptions::default())?;
 
     println!("S-1  chain, all new instances : {:.0}", c1.total());
     println!("S-2  chain, reusing f2/f3     : {:.0}", c2.total());

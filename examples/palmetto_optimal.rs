@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example palmetto_optimal`
 
 use sft::core::ilp::IlpModel;
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::lp::{MipConfig, MipStatus};
 use sft::topology::{palmetto, workload, ScenarioConfig};
 use std::time::{Duration, Instant};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Heuristic first — it doubles as the ILP warm start.
     let t0 = Instant::now();
-    let heuristic = solve(network, task, Strategy::Msa, StageTwo::Opa)?;
+    let heuristic = solve(network, task, &SolveOptions::default())?;
     let heuristic_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
         "two-stage heuristic: cost {:.2} in {heuristic_ms:.2} ms",

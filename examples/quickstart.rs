@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::core::{MulticastTask, Network, Sfc, VnfCatalog, VnfId};
 use sft::graph::{Graph, NodeId};
 
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Sfc::new(vec![VnfId(0), VnfId(1)])?,
     )?;
 
-    let result = solve(&network, &task, Strategy::Msa, StageTwo::Opa)?;
+    let result = solve(&network, &task, &SolveOptions::default())?;
 
     println!("stage-1 (chain) cost : {:.2}", result.stage1_cost);
     println!("final SFT cost       : {:.2}", result.cost.total());

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example video_streaming`
 
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::core::{MulticastTask, Network, Sfc, VnfCatalog};
 use sft::topology::palmetto;
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         viewers1.iter().map(|c| by_name(c)).collect::<Vec<_>>(),
         sfc.clone(),
     )?;
-    let r1 = solve(&network, &task1, Strategy::Msa, StageTwo::Opa)?;
+    let r1 = solve(&network, &task1, &SolveOptions::default())?;
     println!("stream 1 ({} viewers):", viewers1.len());
     println!(
         "  delivery cost {:.1} (setup {:.1} + links {:.1})",
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         viewers2.iter().map(|c| by_name(c)).collect::<Vec<_>>(),
         sfc.clone(),
     )?;
-    let r2 = solve(&network, &task2, Strategy::Msa, StageTwo::Opa)?;
+    let r2 = solve(&network, &task2, &SolveOptions::default())?;
     println!(
         "stream 2 ({} viewers), reusing committed instances:",
         viewers2.len()
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .all_servers(3.0)?
     .uniform_setup_cost(40.0)?
     .build()?;
-    let cold = solve(&pristine, &task2, Strategy::Msa, StageTwo::Opa)?;
+    let cold = solve(&pristine, &task2, &SolveOptions::default())?;
     println!(
         "  (a cold start would have cost {:.1}; reuse saved {:.1}%)",
         cold.cost.total(),

@@ -3,7 +3,7 @@
 
 use sft::core::brute;
 use sft::core::ilp::IlpModel;
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::lp::{solve_lp, LpOutcome, MipConfig, MipStatus};
 use sft::topology::{generate, palmetto, workload, ScenarioConfig};
 
@@ -24,7 +24,7 @@ fn heuristic_stays_within_the_theorem6_bound_of_opt() {
     // Theorem 6: cost(two-stage) <= (1 + rho) * OPT; with KMB rho = 2.
     for (config, seed) in tiny_configs() {
         let s = generate(&config, seed).unwrap();
-        let heuristic = solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let heuristic = solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         let model = IlpModel::build(&s.network, &s.task).unwrap();
         let mip = MipConfig {
             warm_start: model.warm_start(&s.network, &s.task, &heuristic.embedding),
@@ -127,7 +127,7 @@ fn reduced_palmetto_opt_certifies_heuristics() {
     };
     let s = workload::on_graph(palmetto::reduced_graph(10), &config, 3).unwrap();
     let model = IlpModel::build(&s.network, &s.task).unwrap();
-    let heuristic = solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let heuristic = solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
     let mip = MipConfig {
         warm_start: model.warm_start(&s.network, &s.task, &heuristic.embedding),
         ..MipConfig::default()

@@ -16,8 +16,8 @@ use rand::{RngExt, SeedableRng};
 use sft::core::ilp::IlpModel;
 use sft::core::validate::validate;
 use sft::core::{
-    solve_with_options, CoreError, DestinationRoute, Embedding, MulticastTask, Network, Sfc,
-    SolveOptions, Strategy, VnfCatalog, VnfId,
+    solve, CoreError, DestinationRoute, Embedding, MulticastTask, Network, Sfc, SolveOptions,
+    VnfCatalog, VnfId,
 };
 use sft::graph::{approx_le, generate, EdgeId, Graph, NodeId};
 use sft::lp::{MipConfig, MipStatus};
@@ -77,7 +77,7 @@ proptest! {
     ) {
         let network = latency_waxman(n, seed);
         let task = task_for(n, seed, budget);
-        match solve_with_options(&network, &task, Strategy::Msa, SolveOptions::default()) {
+        match solve(&network, &task, &SolveOptions::default()) {
             Ok(r) => {
                 let delay = r.max_path_delay.expect("budgeted solves report a delay");
                 prop_assert!(
@@ -199,7 +199,7 @@ fn exact_and_heuristic_agree_on_palmetto10_feasibility() {
 
     for (budget, feasible) in [(0.5, false), (50.0, true)] {
         let task = base.clone().with_delay_budget(budget).unwrap();
-        let heuristic = solve_with_options(&network, &task, Strategy::Msa, SolveOptions::default());
+        let heuristic = solve(&network, &task, &SolveOptions::default());
         let model = IlpModel::build(&network, &task).unwrap();
         let outcome = model.solve(&network, &task, &MipConfig::default()).unwrap();
         if feasible {
@@ -340,12 +340,12 @@ enum Outcome {
 /// unbudgeted solve, under a budget of `tightness` times that solve's
 /// largest route delay.
 fn memo_matches_oracle(network: &Network, task: &MulticastTask, tightness: f64) -> Outcome {
-    let opts = SolveOptions::default;
-    let plain = match solve_with_options(network, task, Strategy::Msa, opts()) {
+    let opts = SolveOptions::default();
+    let plain = match solve(network, task, &opts) {
         Ok(plain) => plain,
         Err(e) => {
             let budgeted = task.clone().with_delay_budget(1.0).unwrap();
-            let got = solve_with_options(network, &budgeted, Strategy::Msa, opts());
+            let got = solve(network, &budgeted, &opts);
             assert_eq!(format!("{:?}", got.unwrap_err()), format!("{e:?}"));
             return Outcome::Kept;
         }
@@ -358,7 +358,7 @@ fn memo_matches_oracle(network: &Network, task: &MulticastTask, tightness: f64) 
         .map(|r| oracle_delay(graph, r));
     let budget = tightness * late.fold(0.0, f64::max);
     let budgeted = task.clone().with_delay_budget(budget).unwrap();
-    let got = solve_with_options(network, &budgeted, Strategy::Msa, opts());
+    let got = solve(network, &budgeted, &opts);
     let want = oracle_repair(network, task, &plain.embedding, budget);
     match (got, want) {
         (Ok(got), Ok((embedding, delay))) => {

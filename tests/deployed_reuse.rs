@@ -4,7 +4,7 @@
 //! cheaper (or equal), never more expensive, and never break capacity
 //! accounting.
 
-use sft::core::{solve, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions};
 use sft::core::{MulticastTask, Sfc};
 use sft::topology::{generate, ScenarioConfig};
 use sft_graph::NodeId;
@@ -26,9 +26,9 @@ fn committing_an_embedding_makes_rerun_cheaper_or_equal() {
     for seed in 0..4 {
         let s = fresh_scenario(seed);
         let mut network = s.network.clone();
-        let first = solve(&network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let first = solve(&network, &s.task, &SolveOptions::default()).unwrap();
         network.commit_embedding(&s.task, &first.embedding).unwrap();
-        let second = solve(&network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let second = solve(&network, &s.task, &SolveOptions::default()).unwrap();
         // Provable bound: the first chain is still a candidate, now with
         // its setups zeroed, so the rerun's *stage-1* pick can cost at
         // most the first run's stage-1 solution. (The final costs are not
@@ -48,7 +48,7 @@ fn committing_an_embedding_makes_rerun_cheaper_or_equal() {
 fn committed_instances_keep_capacity_books_balanced() {
     let s = fresh_scenario(11);
     let mut network = s.network.clone();
-    let r = solve(&network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let r = solve(&network, &s.task, &SolveOptions::default()).unwrap();
     let new_count = r.embedding.new_instances(&network, &s.task).len();
     assert!(new_count > 0, "a pristine network needs new instances");
     network.commit_embedding(&s.task, &r.embedding).unwrap();
@@ -66,7 +66,7 @@ fn committed_instances_keep_capacity_books_balanced() {
 fn a_related_task_benefits_from_committed_instances() {
     let s = fresh_scenario(21);
     let mut network = s.network.clone();
-    let first = solve(&network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let first = solve(&network, &s.task, &SolveOptions::default()).unwrap();
 
     // A second task: same chain, different (shifted) destinations.
     let shifted: Vec<NodeId> = s
@@ -83,9 +83,9 @@ fn a_related_task_benefits_from_committed_instances() {
     )
     .unwrap();
 
-    let cold = solve(&network, &second_task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let cold = solve(&network, &second_task, &SolveOptions::default()).unwrap();
     network.commit_embedding(&s.task, &first.embedding).unwrap();
-    let warm = solve(&network, &second_task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let warm = solve(&network, &second_task, &SolveOptions::default()).unwrap();
     // Provable bound: commits only lower setup costs, so the warm stage-1
     // optimum cannot exceed the cold one (see the rerun test for why the
     // post-OPA totals are only bounded through stage 1).
@@ -102,7 +102,7 @@ fn a_related_task_benefits_from_committed_instances() {
 fn commit_is_idempotent() {
     let s = fresh_scenario(33);
     let mut network = s.network.clone();
-    let r = solve(&network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let r = solve(&network, &s.task, &SolveOptions::default()).unwrap();
     network.commit_embedding(&s.task, &r.embedding).unwrap();
     let load_after_first: Vec<f64> = network
         .graph()

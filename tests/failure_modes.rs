@@ -1,7 +1,7 @@
 //! Failure injection: every layer must reject broken inputs with typed
 //! errors, never panic, and never return quietly wrong results.
 
-use sft::core::{solve, CoreError, StageTwo, Strategy};
+use sft::core::{solve, CoreError, SolveOptions, Strategy};
 use sft::core::{MulticastTask, Network, Sfc, VnfCatalog, VnfId};
 use sft::graph::{Graph, GraphError, NodeId};
 
@@ -30,7 +30,7 @@ fn unreachable_destination_is_infeasible_not_panic() {
     )
     .unwrap();
     assert!(matches!(
-        solve(&net, &task, Strategy::Msa, StageTwo::Opa),
+        solve(&net, &task, &SolveOptions::default()),
         Err(CoreError::Infeasible { .. })
     ));
 }
@@ -57,9 +57,9 @@ fn capacity_starvation_is_infeasible() {
         Sfc::new(vec![VnfId(0), VnfId(1), VnfId(2)]).unwrap(),
     )
     .unwrap();
-    assert!(solve(&net, &task, Strategy::Msa, StageTwo::Opa).is_ok());
+    assert!(solve(&net, &task, &SolveOptions::default()).is_ok());
     assert!(matches!(
-        solve(&full, &task, Strategy::Msa, StageTwo::Opa),
+        solve(&full, &task, &SolveOptions::default()),
         Err(CoreError::Infeasible { .. })
     ));
 }
@@ -75,7 +75,7 @@ fn switch_only_networks_cannot_host_chains() {
         Sfc::new(vec![VnfId(0)]).unwrap(),
     )
     .unwrap();
-    let err = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap_err();
+    let err = solve(&net, &task, &SolveOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::Infeasible { .. }), "{err}");
 }
 
@@ -93,7 +93,7 @@ fn foreign_ids_surface_as_typed_errors() {
     )
     .unwrap();
     assert!(matches!(
-        solve(&net, &bad_vnf, Strategy::Msa, StageTwo::Opa),
+        solve(&net, &bad_vnf, &SolveOptions::default()),
         Err(CoreError::VnfOutOfBounds { .. })
     ));
     let bad_node = MulticastTask::new(
@@ -103,7 +103,7 @@ fn foreign_ids_surface_as_typed_errors() {
     )
     .unwrap();
     assert!(matches!(
-        solve(&net, &bad_node, Strategy::Msa, StageTwo::Opa),
+        solve(&net, &bad_node, &SolveOptions::default()),
         Err(CoreError::NodeOutOfBounds { .. })
     ));
 }
@@ -134,8 +134,6 @@ fn core_errors_wrap_sources_for_chaining() {
 
 #[test]
 fn every_strategy_agrees_on_infeasibility() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let net = Network::builder(line(4), VnfCatalog::uniform(2))
         .all_servers(0.0)
         .unwrap()
@@ -148,8 +146,11 @@ fn every_strategy_agrees_on_infeasibility() {
     )
     .unwrap();
     for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-        let mut rng = StdRng::seed_from_u64(0);
-        let r = sft::core::solve_with_rng(&net, &task, strategy, StageTwo::Opa, &mut rng);
+        let options = SolveOptions {
+            strategy,
+            ..SolveOptions::default()
+        };
+        let r = solve(&net, &task, &options);
         assert!(
             matches!(r, Err(CoreError::Infeasible { .. })),
             "{strategy:?} must report infeasibility"
@@ -178,7 +179,7 @@ fn zero_length_edge_costs_are_supported_end_to_end() {
         Sfc::new(vec![VnfId(0)]).unwrap(),
     )
     .unwrap();
-    let r = solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let r = solve(&net, &task, &SolveOptions::default()).unwrap();
     assert!(sft::core::validate::is_valid(&net, &task, &r.embedding));
     assert!((r.cost.total() - 1.5).abs() < 1e-9, "1 link + 0.5 setup");
 }

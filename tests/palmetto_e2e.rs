@@ -1,9 +1,7 @@
 //! End-to-end runs on the real-world-style Palmetto backbone (§V-C).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sft::core::validate::is_valid;
-use sft::core::{solve_with_rng, StageTwo, Strategy};
+use sft::core::{solve, SolveOptions, Strategy};
 use sft::topology::{palmetto, workload, ScenarioConfig};
 
 fn palmetto_config(dest: usize, k: usize) -> ScenarioConfig {
@@ -22,8 +20,12 @@ fn paper_scale_parameters_run_clean() {
     for d in [5, 15, 25] {
         let s = workload::on_graph(palmetto::graph(), &palmetto_config(d, 10), d as u64).unwrap();
         for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-            let mut rng = StdRng::seed_from_u64(1);
-            let r = solve_with_rng(&s.network, &s.task, strategy, StageTwo::Opa, &mut rng).unwrap();
+            let options = SolveOptions {
+                strategy,
+                seed: 1,
+                ..SolveOptions::default()
+            };
+            let r = solve(&s.network, &s.task, &options).unwrap();
             assert!(
                 is_valid(&s.network, &s.task, &r.embedding),
                 "{strategy:?} |D|={d}"
@@ -32,9 +34,7 @@ fn paper_scale_parameters_run_clean() {
     }
     for k in [5, 15, 25] {
         let s = workload::on_graph(palmetto::graph(), &palmetto_config(15, k), k as u64).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let r =
-            solve_with_rng(&s.network, &s.task, Strategy::Msa, StageTwo::Opa, &mut rng).unwrap();
+        let r = solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         assert!(is_valid(&s.network, &s.task, &r.embedding), "k={k}");
         assert_eq!(r.chain.placement.len(), k);
     }
@@ -48,7 +48,7 @@ fn cost_grows_with_destination_count_on_average() {
         let reps = 5;
         for seed in 0..reps {
             let s = workload::on_graph(palmetto::graph(), &palmetto_config(d, 5), seed).unwrap();
-            let r = sft::core::solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+            let r = solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
             total += r.cost.total();
         }
         means.push(total / reps as f64);
@@ -69,7 +69,7 @@ fn cost_grows_with_chain_length_on_average() {
         let reps = 5;
         for seed in 0..reps {
             let s = workload::on_graph(palmetto::graph(), &palmetto_config(15, k), seed).unwrap();
-            let r = sft::core::solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+            let r = solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
             total += r.cost.total();
         }
         means.push(total / reps as f64);
@@ -88,12 +88,16 @@ fn msa_wins_on_palmetto_on_average() {
     let mut rsa = 0.0;
     for seed in 0..6 {
         let s = workload::on_graph(palmetto::graph(), &palmetto_config(15, 10), seed).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        msa += solve_with_rng(&s.network, &s.task, Strategy::Msa, StageTwo::Opa, &mut rng)
+        msa += solve(&s.network, &s.task, &SolveOptions::default())
             .unwrap()
             .cost
             .total();
-        rsa += solve_with_rng(&s.network, &s.task, Strategy::Rsa, StageTwo::Opa, &mut rng)
+        let rsa_options = SolveOptions {
+            strategy: Strategy::Rsa,
+            seed,
+            ..SolveOptions::default()
+        };
+        rsa += solve(&s.network, &s.task, &rsa_options)
             .unwrap()
             .cost
             .total();

@@ -3,10 +3,8 @@
 //! identical placements, Steiner edges and costs on seeded scenarios.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sft::core::Strategy as Algo;
-use sft::core::{solve_with_rng_options, Parallelism, SolveOptions, StageTwo};
+use sft::core::{solve, Parallelism, SolveOptions, StageTwo};
 use sft::topology::{generate, ScenarioConfig};
 
 fn arb_config() -> impl Strategy<Value = ScenarioConfig> {
@@ -42,15 +40,14 @@ proptest! {
         for algo in [Algo::Msa, Algo::Sca, Algo::Rsa] {
             for stage_two in [StageTwo::Opa, StageTwo::Skip] {
                 let solve_at = |parallelism: Parallelism| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    solve_with_rng_options(
-                        &s.network,
-                        &s.task,
-                        algo,
-                        SolveOptions { stage_two, parallelism, ..SolveOptions::default() },
-                        &mut rng,
-                    )
-                    .unwrap()
+                    let options = SolveOptions {
+                        strategy: algo,
+                        stage_two,
+                        seed,
+                        parallelism,
+                        ..SolveOptions::default()
+                    };
+                    solve(&s.network, &s.task, &options).unwrap()
                 };
                 let seq = solve_at(Parallelism::sequential());
                 let par = solve_at(Parallelism::new(threads));

@@ -1,11 +1,9 @@
 //! Property-based invariants over randomly generated instances.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sft::core::validate::validate;
 use sft::core::Strategy as Algo;
-use sft::core::{delivery_cost, solve_with_rng, StageTwo};
+use sft::core::{delivery_cost, solve, SolveOptions};
 use sft::topology::{generate, ScenarioConfig};
 
 fn arb_config() -> impl Strategy<Value = ScenarioConfig> {
@@ -35,9 +33,8 @@ proptest! {
     fn generated_scenarios_solve_validly(config in arb_config(), seed in 0u64..1000) {
         let s = generate(&config, seed).unwrap();
         for algo in [Algo::Msa, Algo::Sca, Algo::Rsa] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let r = solve_with_rng(&s.network, &s.task, algo, StageTwo::Opa, &mut rng)
-                .unwrap();
+            let options = SolveOptions { strategy: algo, seed, ..SolveOptions::default() };
+            let r = solve(&s.network, &s.task, &options).unwrap();
             let issues = validate(&s.network, &s.task, &r.embedding);
             prop_assert!(issues.is_empty(), "{algo:?}: {issues:?}");
             // Cost is canonical: recomputation agrees exactly.
@@ -54,7 +51,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let s = generate(&config, seed).unwrap();
-        let r = sft::core::solve(&s.network, &s.task, Algo::Msa, StageTwo::Opa).unwrap();
+        let r = sft::core::solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         prop_assert!(r.cost.link > 0.0, "delivery always crosses links");
         prop_assert!(r.cost.setup >= 0.0);
         // Setup equals the sum over the embedding's new instances.
@@ -75,7 +72,7 @@ proptest! {
     fn stats_and_tree_agree_with_the_embedding(config in arb_config(), seed in 0u64..500) {
         use sft::core::{EmbeddingStats, SftTree};
         let s = generate(&config, seed).unwrap();
-        let r = sft::core::solve(&s.network, &s.task, Algo::Msa, StageTwo::Opa).unwrap();
+        let r = sft::core::solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         let stats = EmbeddingStats::collect(&s.network, &s.task, &r.embedding).unwrap();
         // Stats totals equal the solve result.
         prop_assert!((stats.cost.total() - r.cost.total()).abs() < 1e-9);
@@ -97,7 +94,7 @@ proptest! {
     fn dot_exports_are_well_formed(config in arb_config(), seed in 0u64..500) {
         use sft::core::{viz, SftTree};
         let s = generate(&config, seed).unwrap();
-        let r = sft::core::solve(&s.network, &s.task, Algo::Msa, StageTwo::Opa).unwrap();
+        let r = sft::core::solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         let net_dot = viz::network_dot(&s.network);
         // prop_assert! stringifies its expression into a format string, so
         // brace-containing literals must be hoisted out.

@@ -2,21 +2,17 @@
 //! batching, thread fan-out, and the persistent Steiner cache are allowed
 //! to change *when* work happens, never *what* comes out.
 //!
-//! * Independent batches are bit-identical to per-task
-//!   `solve_with_options` calls against the same frozen network, at every
-//!   thread count.
+//! * Independent batches are bit-identical to per-task `solve` calls
+//!   against the same frozen network, at every thread count.
 //! * Sequential batches are bit-identical to the existing
 //!   [`SequentialEmbedder`] solve-and-commit loop.
 //! * Serving the same stream twice reuses the cache (hits grow) without
 //!   changing a single cost component.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sft::core::Strategy as Algo;
 use sft::core::{
-    solve_with_options, MulticastTask, Network, Parallelism, SequentialEmbedder, SolveOptions,
-    StageTwo,
+    solve, MulticastTask, Network, Parallelism, SequentialEmbedder, SolveOptions, StageTwo,
 };
 use sft::service::{BatchMode, EmbedService};
 use sft::topology::{palmetto, workload, ScenarioConfig};
@@ -77,11 +73,10 @@ proptest! {
         for (t, got) in tasks.iter().zip(&batch) {
             let got = got.as_ref().expect("feasible workload");
             // Reference: the plain solver, no cache, fully sequential.
-            let want = solve_with_options(
+            let want = solve(
                 &network,
                 t,
-                Algo::Msa,
-                SolveOptions { stage_two, parallelism: Parallelism::sequential(), ..SolveOptions::default() },
+                &SolveOptions { stage_two, parallelism: Parallelism::sequential(), ..SolveOptions::default() },
             )
             .unwrap();
             prop_assert_eq!(&want.embedding, &got.embedding, "threads={}", threads);
@@ -113,11 +108,10 @@ proptest! {
         let batch = svc.submit_batch(&tasks, BatchMode::Sequential);
 
         let mut reference = SequentialEmbedder::new(network, Algo::Msa);
-        let mut rng = StdRng::seed_from_u64(0); // unused by MSA
         for (t, got) in tasks.iter().zip(&batch) {
             match got {
                 Ok(got) => {
-                    let want = reference.embed(t, &mut rng).unwrap();
+                    let want = reference.embed(t).unwrap();
                     prop_assert_eq!(&want.embedding, &got.embedding);
                     prop_assert_eq!(want.cost.setup, got.cost.setup);
                     prop_assert_eq!(want.cost.link, got.cost.link);
@@ -125,7 +119,7 @@ proptest! {
                 Err(_) => {
                     // Capacity can fill up mid-stream; the reference loop
                     // must fail on exactly the same task.
-                    prop_assert!(reference.embed(t, &mut rng).is_err());
+                    prop_assert!(reference.embed(t).is_err());
                 }
             }
         }
@@ -155,7 +149,10 @@ fn twenty_task_stream_reuses_the_cache_at_every_thread_count() {
         let mut svc = EmbedService::new(
             network.clone(),
             Algo::Msa,
-            SolveOptions::default().with_parallelism(Parallelism::new(threads)),
+            SolveOptions {
+                parallelism: Parallelism::new(threads),
+                ..SolveOptions::default()
+            },
         )
         .unwrap();
         let batch = svc.submit_batch(&tasks, BatchMode::Independent);

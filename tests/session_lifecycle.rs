@@ -301,7 +301,7 @@ fn bw_round_trip(sessions: usize, capacity: f64, link_bw: f64, order_seed: usize
         }
         assert_bw_replay_identical(&handle, capacity, link_bw);
         // Interleave: sometimes tear down an earlier session mid-stream.
-        if !live.is_empty() && (order_seed + s) % 3 == 0 {
+        if !live.is_empty() && (order_seed + s).is_multiple_of(3) {
             let victim = live.remove((order_seed * 11 + s * 7) % live.len());
             match client.release(victim) {
                 ResponseBody::Released { session, .. } => assert_eq!(session, victim),

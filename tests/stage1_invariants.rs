@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sft::core::mod_network::ExpandedMod;
 use sft::core::msa::{
-    stage_one_candidates, stage_one_with_cache, stage_one_with_options, SteinerMethod,
+    stage_one_cancellable, stage_one_candidates, stage_one_with_cache_cancellable, SteinerMethod,
 };
 use sft::core::{
     delivery_cost, ChainSolution, CoreError, MulticastTask, Network, Parallelism, Sfc, VnfCatalog,
@@ -64,11 +64,12 @@ fn sweep_winner_is_the_candidate_minimum() {
         ..ScenarioConfig::default()
     };
     let s = generate(&config, 13).unwrap();
-    let winner = stage_one_with_options(
+    let winner = stage_one_cancellable(
         &s.network,
         &s.task,
         SteinerMethod::Kmb,
         Parallelism::sequential(),
+        None,
     )
     .unwrap();
     let candidates = stage_one_candidates(&s.network, &s.task, SteinerMethod::Kmb).unwrap();
@@ -332,8 +333,13 @@ fn pruned_sweep_returns_the_exhaustive_lowest_row_minimum() {
                     Err(e) => {
                         // Rejected up front (a destination the source
                         // cannot reach): the sweep rejects it the same way.
-                        let got =
-                            stage_one_with_options(&network, &task, method, Parallelism::auto());
+                        let got = stage_one_cancellable(
+                            &network,
+                            &task,
+                            method,
+                            Parallelism::auto(),
+                            None,
+                        );
                         assert_eq!(format!("{got:?}"), format!("{:?}", Err::<(), _>(e)));
                         continue;
                     }
@@ -349,11 +355,21 @@ fn pruned_sweep_returns_the_exhaustive_lowest_row_minimum() {
                     solved += 1;
                 }
                 let cold = SteinerCache::new();
+                let cached = |parallelism, cache| {
+                    stage_one_with_cache_cancellable(
+                        &network,
+                        &task,
+                        method,
+                        parallelism,
+                        cache,
+                        None,
+                    )
+                };
                 let got = [
-                    stage_one_with_options(&network, &task, method, Parallelism::sequential()),
-                    stage_one_with_cache(&network, &task, method, Parallelism::new(2), &cold),
-                    stage_one_with_cache(&network, &task, method, Parallelism::auto(), warm),
-                    stage_one_with_cache(&network, &task, method, Parallelism::auto(), warm),
+                    stage_one_cancellable(&network, &task, method, Parallelism::sequential(), None),
+                    cached(Parallelism::new(2), &cold),
+                    cached(Parallelism::auto(), warm),
+                    cached(Parallelism::auto(), warm),
                 ];
                 cold_misses += cold.misses();
                 for (flavor, got) in got.into_iter().enumerate() {

@@ -1,11 +1,23 @@
 //! Cross-crate integration: generated scenarios → all strategies → valid,
 //! priced, OPA-monotone embeddings.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sft::core::validate::{is_valid, validate};
-use sft::core::{delivery_cost, solve_with_rng, StageTwo, Strategy};
-use sft::topology::{generate, ScenarioConfig};
+use sft::core::{delivery_cost, solve, SolveOptions, SolveResult, Strategy};
+use sft::topology::{generate, Scenario, ScenarioConfig};
+
+/// One full pipeline run; RSA draws from `seed`.
+fn solve_seeded(
+    s: &Scenario,
+    strategy: Strategy,
+    seed: u64,
+) -> Result<SolveResult, sft::core::CoreError> {
+    let options = SolveOptions {
+        strategy,
+        seed,
+        ..SolveOptions::default()
+    };
+    solve(&s.network, &s.task, &options)
+}
 
 fn configs() -> Vec<ScenarioConfig> {
     vec![
@@ -46,8 +58,7 @@ fn every_strategy_produces_valid_embeddings_on_every_config() {
         for seed in 0..3 {
             let s = generate(config, seed).unwrap();
             for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let r = solve_with_rng(&s.network, &s.task, strategy, StageTwo::Opa, &mut rng)
+                let r = solve_seeded(&s, strategy, seed)
                     .unwrap_or_else(|e| panic!("config {ci} seed {seed} {strategy:?}: {e}"));
                 let issues = validate(&s.network, &s.task, &r.embedding);
                 assert!(
@@ -65,9 +76,7 @@ fn opa_never_increases_cost() {
         for seed in 0..3 {
             let s = generate(config, seed).unwrap();
             for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let with =
-                    solve_with_rng(&s.network, &s.task, strategy, StageTwo::Opa, &mut rng).unwrap();
+                let with = solve_seeded(&s, strategy, seed).unwrap();
                 assert!(
                     with.cost.total() <= with.stage1_cost + 1e-9,
                     "config {ci} seed {seed} {strategy:?}: OPA worsened \
@@ -86,8 +95,7 @@ fn reported_cost_matches_canonical_recomputation() {
     for seed in 0..4 {
         let s = generate(config, seed).unwrap();
         for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-            let mut rng = StdRng::seed_from_u64(seed * 31);
-            let r = solve_with_rng(&s.network, &s.task, strategy, StageTwo::Opa, &mut rng).unwrap();
+            let r = solve_seeded(&s, strategy, seed * 31).unwrap();
             let again = delivery_cost(&s.network, &s.task, &r.embedding).unwrap();
             assert!(
                 (again.total() - r.cost.total()).abs() < 1e-9,
@@ -114,15 +122,8 @@ fn msa_beats_rsa_on_average_across_seeds() {
     let runs = 8;
     for seed in 0..runs {
         let s = generate(&config, seed).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        msa_total += solve_with_rng(&s.network, &s.task, Strategy::Msa, StageTwo::Opa, &mut rng)
-            .unwrap()
-            .cost
-            .total();
-        rsa_total += solve_with_rng(&s.network, &s.task, Strategy::Rsa, StageTwo::Opa, &mut rng)
-            .unwrap()
-            .cost
-            .total();
+        msa_total += solve_seeded(&s, Strategy::Msa, seed).unwrap().cost.total();
+        rsa_total += solve_seeded(&s, Strategy::Rsa, seed).unwrap().cost.total();
     }
     assert!(
         msa_total < rsa_total,
@@ -136,22 +137,8 @@ fn whole_pipeline_is_deterministic() {
     let s1 = generate(&config, 77).unwrap();
     let s2 = generate(&config, 77).unwrap();
     for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
-        let a = solve_with_rng(
-            &s1.network,
-            &s1.task,
-            strategy,
-            StageTwo::Opa,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        let b = solve_with_rng(
-            &s2.network,
-            &s2.task,
-            strategy,
-            StageTwo::Opa,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
+        let a = solve_seeded(&s1, strategy, 5).unwrap();
+        let b = solve_seeded(&s2, strategy, 5).unwrap();
         assert_eq!(a.embedding, b.embedding, "{strategy:?}");
         assert_eq!(a.cost.total(), b.cost.total());
     }
@@ -169,7 +156,7 @@ fn stage_counts_respect_theorem4() {
     };
     for seed in 0..5 {
         let s = generate(&config, seed).unwrap();
-        let r = sft::core::solve(&s.network, &s.task, Strategy::Msa, StageTwo::Opa).unwrap();
+        let r = sft::core::solve(&s.network, &s.task, &SolveOptions::default()).unwrap();
         let k = s.task.sfc().len();
         let mut counts = vec![0usize; k + 1];
         for (stage, _) in r.embedding.instances() {
@@ -212,7 +199,7 @@ fn repeated_chain_types_share_physical_instances() {
         Sfc::new(vec![VnfId(0), VnfId(1), VnfId(0)]).unwrap(),
     )
     .unwrap();
-    let r = sft::core::solve(&net, &task, Strategy::Msa, StageTwo::Opa).unwrap();
+    let r = sft::core::solve(&net, &task, &SolveOptions::default()).unwrap();
     assert!(is_valid(&net, &task, &r.embedding));
     // Best placement co-locates all three stages on one node: two distinct
     // (type, node) instances -> setup 20, not 30.

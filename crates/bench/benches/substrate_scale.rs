@@ -2,14 +2,14 @@
 //! Waxman WANs at 1k / 10k / 50k nodes.
 //!
 //! The point of the on-demand [`sft_core::LazyDistances`] engine is that
-//! a quote on a 50 000-node substrate touches only the rows the solve
-//! actually needs (servers, source, destinations) — a few dozen Dijkstra
-//! runs — instead of precomputing an `n x n` matrix that would not even
-//! fit in memory. Besides the console report this bench writes
+//! a quote on a 50 000-node substrate fills only the rows the solve reads
+//! (servers, source, destinations, and the nodes of the paths it walks)
+//! instead of precomputing an `n x n` matrix that would not even fit in
+//! memory. Besides the console report this bench writes
 //! `BENCH_scale.json` at the workspace root recording, per size, the
-//! median quote latency and the engine's resident/peak row counts and
-//! row misses, so the "O(rows used), not O(n^2)" claim is tied to
-//! measured numbers.
+//! median quote latency, the engine's resident/peak row counts and row
+//! misses, and the bytes those rows hold (12 per node per row), so the
+//! "O(rows used), not O(n^2)" claim is tied to measured numbers.
 
 use criterion::Criterion;
 use rand::rngs::StdRng;
@@ -79,6 +79,7 @@ struct ScalePoint {
     rows_resident: u64,
     rows_peak: u64,
     row_misses: u64,
+    row_bytes: u64,
 }
 
 fn bench_quote_scaling(c: &mut Criterion) -> Vec<ScalePoint> {
@@ -104,6 +105,7 @@ fn bench_quote_scaling(c: &mut Criterion) -> Vec<ScalePoint> {
             rows_resident: dist.rows_materialized(),
             rows_peak: dist.peak_rows(),
             row_misses: dist.row_misses(),
+            row_bytes: dist.resident_row_bytes(),
         });
     }
     group.finish();
@@ -121,20 +123,21 @@ fn write_report(c: &Criterion, points: &[ScalePoint]) {
             continue; // test-mode run: nothing measured
         };
         entries.push(format!(
-            "    {{ \"nodes\": {}, \"edges\": {}, \"servers\": {SERVERS}, \"quote_median_ms\": {:.3}, \"rows_resident\": {}, \"rows_peak\": {}, \"row_misses\": {} }}",
+            "    {{ \"nodes\": {}, \"edges\": {}, \"servers\": {SERVERS}, \"quote_median_ms\": {:.3}, \"rows_resident\": {}, \"rows_peak\": {}, \"row_misses\": {}, \"row_bytes\": {} }}",
             p.n,
             p.edges,
             s.median_ns / 1e6,
             p.rows_resident,
             p.rows_peak,
-            p.row_misses
+            p.row_misses,
+            p.row_bytes
         ));
     }
     if entries.is_empty() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"substrate_scale_quote\",\n  \"provider\": \"lazy\",\n  \"workload\": {{ \"topology\": \"waxman (beta 0.4, degree ~2 ln n)\", \"seed\": 42, \"sfc_len\": 3, \"dests\": 4 }},\n  \"sizes\": [\n{}\n  ],\n  \"note\": \"rows_peak counts per-source Dijkstra rows ever materialized; a dense matrix would need `nodes` rows (n^2 doubles), so rows_peak << nodes is the scaling claim\"\n}}\n",
+        "{{\n  \"bench\": \"substrate_scale_quote\",\n  \"provider\": \"lazy\",\n  \"workload\": {{ \"topology\": \"waxman (beta 0.4, degree ~2 ln n)\", \"seed\": 42, \"sfc_len\": 3, \"dests\": 4 }},\n  \"sizes\": [\n{}\n  ],\n  \"note\": \"rows_peak counts per-source Dijkstra rows ever materialized; a dense matrix would need `nodes` rows (n^2 doubles), so rows_peak << nodes is the scaling claim. row_bytes is the memory the resident rows hold: 12 bytes per node per row (an 8-byte distance and a 4-byte first hop)\"\n}}\n",
         entries.join(",\n")
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

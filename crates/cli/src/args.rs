@@ -25,8 +25,14 @@ TOPOLOGIES (--topology):
                     field puts bandwidth bw on every link, an optional
                     fourth puts propagation latency lat on every link)
 
-COMMON FLAGS:
+Each FLAGS section below names the subcommands that read its flags; a
+flag outside every section of its subcommand is an error.
+
+COMMON FLAGS (info, solve, exact, batch, serve, workload):
+  --topology <spec>     the substrate, see TOPOLOGIES (required)
   --seed <u64>          RNG seed (default 0)
+
+NETWORK FLAGS (solve, exact, batch, serve, workload):
   --capacity <f64>      per-server capacity (default 3)
   --link-bw <f64>       uniform link bandwidth capacity on every edge
                         (default none = uncapacitated links; tasks with
@@ -38,78 +44,90 @@ COMMON FLAGS:
   --servers <n>         number of stride-spaced NFV server nodes
                         (default 0 = every node is a server)
   --setup-cost <f64>    uniform VNF setup cost (default 1)
+  --sfc <k>             VNF catalog size, types 0..k (default 3); solve
+                        and exact embed the chain of all k types; batch,
+                        serve and workload tasks name types < k
 
-SOLVE / EXACT FLAGS:
+SOLVE / EXACT FLAGS (solve, exact):
   --source <node>       source node index (required)
   --dests <a,b,c>       destination node indices (required)
-  --sfc <k>             chain length, types 0..k (default 3)
-  --strategy <msa|sca|rsa>   stage-1 algorithm (default msa)
-  --no-opa              skip stage 2
   --delay-budget <ms>   end-to-end delay budget per destination; the
                         solve repairs routes to meet it or fails with
                         `delay_infeasible` (default none)
+
+SOLVE FLAGS (solve):
+  --strategy <msa|sca|rsa>   stage-1 algorithm (default msa)
+  --no-opa              skip stage 2
   --stats               print embedding statistics
   --dot <file>          write the physical embedding as DOT
   --sft-dot <file>      write the logical SFT as DOT
-  --max-nodes <n>       (exact) branch-and-bound node budget
-  --time-limit <secs>   (exact) wall-clock budget
-  --lp-backend <dense|revised|auto>
-                        (exact) LP relaxation solver: dense tableau,
-                        sparse revised simplex, or size-based choice
-                        (default auto)
 
-BATCH / SERVE FLAGS (long-running service; shortest-path rows computed
-once per source on demand, shared Steiner cache; requests are
-versioned JSONL lines, see docs/service.md:
-  {\"v\": 1, \"id\": 7, \"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}):
-  --tasks <file.jsonl>  (batch/client) the task stream to solve (required)
-  --mode <sequential|independent>
-                        (batch) sequential = solve-and-commit each task
-                        in arrival order; independent = fan dry-run
-                        solves across threads (default sequential)
-  --threads <n>         (batch) worker threads for --mode independent;
-                        0 = all cores (default). Results are identical
-                        for every value: one solve always runs on one
-                        thread (the stage-1 sweep prunes with one
-                        incumbent)
-  --sfc <k>             VNF catalog size; task types must be < k
+EXACT FLAGS (exact):
+  --max-nodes <n>       branch-and-bound node budget
+  --time-limit <secs>   wall-clock budget
+  --lp-backend <dense|revised|auto>
+                        LP relaxation solver: dense tableau, sparse
+                        revised simplex, or size-based choice (default
+                        auto)
+
+SERVICE FLAGS (batch, serve):
+  A long-running service: shortest-path rows computed once per source on
+  demand, shared Steiner cache; requests are versioned JSONL lines, see
+  docs/service.md:
+  {\"v\": 1, \"id\": 7, \"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}
   --strategy <msa|sca>  stage-1 algorithm (default msa; rsa is the
                         paper's random baseline, so the service
                         rejects it)
+  --no-opa              skip stage 2
   --cache-cap <n>       bound the Steiner cache to n entries with
                         CLOCK eviction (default unbounded)
 
-SOCKET FLAGS (sft serve --listen / sft client):
-  --listen <addr>       (serve) accept connections on a TCP host:port
-                        or a Unix socket (unix:/path); runs until a
-                        client sends {\"op\": \"shutdown\"}
-  --workers <n>         (serve) worker threads (default 4)
-  --queue-bound <n>     (serve) pending-request bound before new work
+BATCH FLAGS (batch):
+  --tasks <file.jsonl>  the task stream to solve (required)
+  --mode <sequential|independent>
+                        sequential = solve-and-commit each task in
+                        arrival order; independent = fan dry-run solves
+                        across threads (default sequential)
+  --threads <n>         worker threads for --mode independent; 0 = all
+                        cores (default). Results are identical for every
+                        value: one solve always runs on one thread (the
+                        stage-1 sweep prunes with one incumbent)
+
+SERVE FLAGS (serve):
+  --listen <addr>       accept connections on a TCP host:port or a Unix
+                        socket (unix:/path); runs until a client sends
+                        {\"op\": \"shutdown\"} (default: stdin/stdout)
+  --workers <n>         (--listen) worker threads (default 4)
+  --queue-bound <n>     (--listen) pending-request bound before new work
                         is rejected as `overloaded` (default 128)
-  --deadline-ms <ms>    (serve) default per-request deadline; requests
+  --deadline-ms <ms>    (--listen) default per-request deadline; requests
                         still unanswered when it expires are rejected
                         as `deadline_exceeded` (default none)
   --default-mode <quote|commit>
                         solve semantics for requests without a `mode`
                         field: quote = dry-run against the frozen
                         network (socket default), commit = update the
-                        network (stdin serve default)
-  --commit-retries <n>  (serve) optimistic solve attempts per commit
+                        network (stdin default)
+  --commit-retries <n>  (--listen) optimistic solve attempts per commit
                         (default 3); if all lose their race, a last
                         attempt solves and applies under the write lock,
                         so commits never answer `conflict` and never
                         partially apply
   --defrag-every-ms <ms>
-                        (serve) run the re-embed/defrag batch on this
+                        (--listen) run the re-embed/defrag batch on this
                         period: live sessions are released and re-solved
                         against freed capacity, consolidating onto
                         shared instances (default off)
-  --connect <addr>      (client) server address to send --tasks to;
-                        responses print ordered by id
-  --mode <quote|commit> (client) override the mode on every request
 
-WORKLOAD FLAGS (sft workload; emits a commit/release session stream as
-protocol JSONL — pipe into `sft serve` or save for `sft client`):
+CLIENT FLAGS (client):
+  --connect <addr>      server address to send --tasks to (required);
+                        responses print ordered by id
+  --tasks <file.jsonl>  the request stream, `-` for stdin (required)
+  --mode <quote|commit> override the mode on every request
+
+WORKLOAD FLAGS (workload):
+  Emits a commit/release session stream as protocol JSONL: pipe it into
+  `sft serve` or save it for `sft client`.
   --count <n>           sessions to generate (default 100)
   --arrivals <poisson>  arrival process (poisson: exponential
                         inter-arrival times at --rate)
@@ -153,7 +171,8 @@ impl std::error::Error for ParseError {}
 /// (boolean flags store `"true"`).
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// The subcommand (`info`, `solve`, `exact`, `help`).
+    /// The subcommand, one of `sft <info|solve|exact|batch|serve|client|
+    /// workload|help>`.
     pub command: String,
     flags: BTreeMap<String, String>,
 }
@@ -161,62 +180,61 @@ pub struct Args {
 /// Flags that take no value.
 const BOOLEAN_FLAGS: [&str; 2] = ["no-opa", "stats"];
 
-/// Every flag some subcommand reads, [`BOOLEAN_FLAGS`] included; any other
-/// `--name` is a parse error, so a misspelled or retired flag is never
-/// silently ignored.
-const KNOWN_FLAGS: [&str; 37] = [
-    "arrivals",
-    "bandwidth",
-    "cache-cap",
-    "capacity",
-    "commit-retries",
-    "connect",
-    "count",
-    "deadline-ms",
-    "default-mode",
-    "defrag-every-ms",
-    "delay-budget",
-    "dests",
-    "dot",
-    "hold",
-    "holding",
-    "link-bw",
-    "link-latency",
-    "listen",
-    "lp-backend",
-    "max-nodes",
-    "mode",
-    "no-opa",
-    "queue-bound",
-    "rate",
-    "seed",
-    "servers",
-    "setup-cost",
-    "sfc",
-    "sft-dot",
-    "source",
-    "stats",
-    "strategy",
-    "tasks",
-    "threads",
-    "time-limit",
-    "topology",
-    "workers",
+/// The subcommands [`Args::parse`] accepts.
+const SUBCOMMANDS: [&str; 8] = [
+    "info", "solve", "exact", "batch", "serve", "client", "workload", "help",
 ];
+
+/// The flags each subcommand reads, one entry per FLAGS section of
+/// [`USAGE`]: the subcommands a section names and the flags it lists
+/// ([`BOOLEAN_FLAGS`] included), space-separated. Any other `--name` is a
+/// parse error, so a misspelled, retired or misplaced flag is never
+/// silently ignored.
+const SECTIONS: [(&str, &str); 10] = [
+    ("info solve exact batch serve workload", "topology seed"),
+    (
+        "solve exact batch serve workload",
+        "capacity link-bw link-latency servers setup-cost sfc",
+    ),
+    ("solve exact", "source dests delay-budget"),
+    ("solve", "strategy no-opa stats dot sft-dot"),
+    ("exact", "max-nodes time-limit lp-backend"),
+    ("batch serve", "strategy no-opa cache-cap"),
+    ("batch", "tasks mode threads"),
+    (
+        "serve",
+        "listen workers queue-bound deadline-ms default-mode commit-retries defrag-every-ms",
+    ),
+    ("client", "connect tasks mode"),
+    (
+        "workload",
+        "count arrivals holding rate hold dests bandwidth delay-budget",
+    ),
+];
+
+/// Whether `command` reads `--flag`.
+fn accepts(command: &str, flag: &str) -> bool {
+    SECTIONS.iter().any(|(commands, flags)| {
+        commands.split(' ').any(|c| c == command) && flags.split(' ').any(|f| f == flag)
+    })
+}
 
 impl Args {
     /// Parses pre-split arguments (without the program name).
     ///
     /// # Errors
     ///
-    /// [`ParseError`] on missing subcommand, malformed or unknown flags,
-    /// or missing flag values.
+    /// [`ParseError`] on a missing or unknown subcommand, malformed flags,
+    /// flags the subcommand does not read, or missing flag values.
     pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
         let mut it = argv.iter();
         let command = it
             .next()
             .ok_or_else(|| ParseError("missing subcommand".into()))?
             .clone();
+        if !SUBCOMMANDS.contains(&command.as_str()) {
+            return Err(ParseError(format!("unknown subcommand `{command}`")));
+        }
         let mut flags = BTreeMap::new();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
@@ -227,8 +245,10 @@ impl Args {
             if name.is_empty() {
                 return Err(ParseError("empty flag name".into()));
             }
-            if !KNOWN_FLAGS.contains(&name) {
-                return Err(ParseError(format!("unknown flag --{name}")));
+            if !accepts(&command, name) {
+                return Err(ParseError(format!(
+                    "`sft {command}` takes no flag --{name}"
+                )));
             }
             if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "true".into());
@@ -310,6 +330,14 @@ mod tests {
         assert!(!a.flag("stats"));
     }
 
+    /// Every flag of [`SECTIONS`], sorted, without repeats.
+    fn known_flags() -> Vec<&'static str> {
+        let mut known: Vec<&str> = SECTIONS.iter().flat_map(|(_, f)| f.split(' ')).collect();
+        known.sort_unstable();
+        known.dedup();
+        known
+    }
+
     #[test]
     fn usage_documents_exactly_the_known_flags() {
         let mut documented: Vec<&str> = USAGE
@@ -319,11 +347,60 @@ mod tests {
             .collect();
         documented.sort_unstable();
         documented.dedup();
-        let mut known = KNOWN_FLAGS.to_vec();
-        known.sort_unstable();
-        assert_eq!(documented, known);
+        assert_eq!(documented, known_flags());
         for flag in BOOLEAN_FLAGS {
-            assert!(KNOWN_FLAGS.contains(&flag), "{flag}");
+            assert!(known_flags().contains(&flag), "{flag}");
+        }
+    }
+
+    #[test]
+    fn each_subcommand_takes_exactly_its_usage_sections() {
+        // USAGE's `NAME FLAGS (a, b):` headings and the flags under each.
+        let mut sections: Vec<(String, String)> = Vec::new();
+        for line in USAGE.lines() {
+            let heading = line
+                .strip_suffix("):")
+                .and_then(|l| l.split_once(" FLAGS ("));
+            if let Some((_, names)) = heading {
+                sections.push((names.replace(", ", " "), String::new()));
+            } else if let (Some(rest), Some((_, flags))) =
+                (line.strip_prefix("  --"), sections.last_mut())
+            {
+                let flag = rest.split_whitespace().next().unwrap();
+                *flags = if flags.is_empty() {
+                    flag.to_string()
+                } else {
+                    format!("{flags} {flag}")
+                };
+            }
+        }
+        let table: Vec<(String, String)> = SECTIONS
+            .iter()
+            .map(|(commands, flags)| (commands.to_string(), flags.to_string()))
+            .collect();
+        assert_eq!(sections, table);
+        let listed = USAGE
+            .split_once("sft <")
+            .and_then(|(_, rest)| rest.split_once('>'))
+            .unwrap()
+            .0;
+        assert_eq!(listed.split('|').collect::<Vec<_>>(), SUBCOMMANDS);
+        // Every subcommand parses each of its flags and rejects the rest.
+        for command in SUBCOMMANDS {
+            let own: Vec<&str> = sections
+                .iter()
+                .filter(|(commands, _)| commands.split(' ').any(|c| c == command))
+                .flat_map(|(_, flags)| flags.split(' '))
+                .collect();
+            for flag in known_flags() {
+                let value = if BOOLEAN_FLAGS.contains(&flag) {
+                    ""
+                } else {
+                    " 1"
+                };
+                let parsed = Args::parse(&argv(&format!("{command} --{flag}{value}")));
+                assert_eq!(parsed.is_ok(), own.contains(&flag), "{command} --{flag}");
+            }
         }
     }
 
@@ -332,7 +409,23 @@ mod tests {
         assert!(Args::parse(&argv("solve --distances lazy")).is_err());
         assert!(Args::parse(&argv("solve --thredas 4")).is_err());
         assert!(Args::parse(&argv("solve --no-such-flag 7")).is_err());
-        assert!(Args::parse(&argv("solve --threads 4")).is_ok());
+        // A flag another subcommand reads is no flag of this one.
+        let err = Args::parse(&argv("solve --threads x")).unwrap_err();
+        assert!(
+            err.0.contains("--threads") && err.0.contains("sft solve"),
+            "{err}"
+        );
+        let err = Args::parse(&argv("solve --workers 4 --count 9")).unwrap_err();
+        assert!(
+            err.0.contains("--workers") && err.0.contains("sft solve"),
+            "{err}"
+        );
+        assert!(Args::parse(&argv("client --capacity 3")).is_err());
+        assert!(Args::parse(&argv("help --seed 1")).is_err());
+        assert!(Args::parse(&argv("batch --threads 4")).is_ok());
+        assert!(Args::parse(&argv("help")).is_ok());
+        let err = Args::parse(&argv("bogus --seed 1")).unwrap_err();
+        assert!(err.0.contains("unknown subcommand `bogus`"), "{err}");
     }
 
     #[test]

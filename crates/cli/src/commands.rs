@@ -821,7 +821,7 @@ mod tests {
 
     fn run(cmdline: &str) -> Result<String, ParseError> {
         let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
-        let args = Args::parse(&argv).unwrap();
+        let args = Args::parse(&argv)?;
         match args.command.as_str() {
             "info" => info(&args),
             "solve" => solve(&args),
@@ -840,8 +840,9 @@ mod tests {
         assert!(out.contains("avg dist   : "), "{out}");
     }
 
-    /// One solve runs on one thread: `--threads` changes nothing but the
-    /// runtime line, on generated and committed topologies alike.
+    /// One solve runs on one thread, so `sft solve` takes no `--threads`
+    /// and prints the same report run after run, on generated and
+    /// committed topologies alike.
     #[test]
     fn solve_output_is_thread_count_invariant() {
         let strip = |s: &str| {
@@ -854,12 +855,14 @@ mod tests {
             "solve --topology waxman:40 --seed 2 --source 0 --dests 5,9 --sfc 2",
             "solve --topology palmetto --source 0 --dests 17,30,44 --sfc 2",
         ] {
-            let one = run(&format!("{base} --threads 1")).unwrap();
+            let one = run(base).unwrap();
             assert!(one.contains("validator  : OK"), "{one}");
-            for threads in [2usize, 4] {
-                let many = run(&format!("{base} --threads {threads}")).unwrap();
-                assert_eq!(strip(&one), strip(&many), "{base}, {threads} threads");
-            }
+            assert_eq!(strip(&one), strip(&run(base).unwrap()), "{base}");
+            let err = run(&format!("{base} --threads 2")).unwrap_err();
+            assert!(
+                err.0.contains("--threads") && err.0.contains("sft solve"),
+                "{err}"
+            );
         }
     }
 
@@ -911,30 +914,41 @@ mod tests {
 
     #[test]
     fn threads_flag_never_changes_the_answer() {
-        let base = "solve --topology er:25 --seed 3 --source 0 --dests 5,9 --sfc 2";
-        let reference = run(&format!("{base} --threads 1")).unwrap();
-        for threads in [0usize, 2, 4] {
-            let out = run(&format!("{base} --threads {threads}")).unwrap();
-            // Strip the runtime line, then the reports must match verbatim.
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("runtime"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(strip(&reference), strip(&out), "--threads {threads}");
-        }
-        // `sft batch` reads the flag, so it rejects a bad value.
+        // `sft batch --mode independent` is the flag's only reader.
         let dir = std::env::temp_dir().join("sft_cli_threads_flag");
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("t.jsonl");
-        std::fs::write(&file, "{\"source\": 0, \"dests\": [3], \"sfc\": [0]}\n").unwrap();
+        std::fs::write(
+            &file,
+            "{\"source\": 0, \"dests\": [5, 9], \"sfc\": [0, 1]}\n\
+             {\"source\": 3, \"dests\": [7, 12, 20], \"sfc\": [1, 2]}\n\
+             {\"source\": 0, \"dests\": [5, 9], \"sfc\": [0, 1]}\n\
+             {\"source\": 11, \"dests\": [2], \"sfc\": [2, 0, 1]}\n",
+        )
+        .unwrap();
         let batch = format!(
-            "batch --topology grid:2x2 --tasks {} --mode independent",
+            "batch --topology er:25 --seed 3 --tasks {} --mode independent",
             file.display()
         );
-        assert!(run(&format!("{batch} --threads 2")).is_ok());
+        // The response lines must match verbatim; the stats block times.
+        let responses = |threads: &str| {
+            let out = run(&format!("{batch} --threads {threads}")).unwrap();
+            let lines: Vec<String> = out
+                .lines()
+                .filter(|l| l.starts_with('{'))
+                .map(String::from)
+                .collect();
+            assert_eq!(lines.len(), 4, "{out}");
+            lines
+        };
+        let reference = responses("1");
+        for threads in ["0", "2", "4"] {
+            assert_eq!(reference, responses(threads), "--threads {threads}");
+        }
         assert!(run(&format!("{batch} --threads x")).is_err());
+        // One solve runs on one thread: `sft solve` has no such flag.
+        let solve = "solve --topology er:25 --seed 3 --source 0 --dests 5,9 --sfc 2";
+        assert!(run(&format!("{solve} --threads 1")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

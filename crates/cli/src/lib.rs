@@ -52,6 +52,6 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "client" => commands::client(&args).map_err(|e| e.to_string()),
         "workload" => commands::workload(&args).map_err(|e| e.to_string()),
         "help" => Ok(args::USAGE.to_string()),
-        other => Err(format!("unknown subcommand `{other}`\n\n{}", args::USAGE)),
+        other => unreachable!("Args::parse accepted the unknown subcommand `{other}`"),
     }
 }

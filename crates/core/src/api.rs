@@ -4,7 +4,10 @@
 //! destination route is rerouted between its fixed waypoints along a λ
 //! ladder of `cost + λ·latency` metrics. The ladder's per-(rung, server)
 //! shortest-path trees depend only on the graph, so they are computed
-//! once per network and shared by its clones ([`RerouteTrees`]).
+//! once per network and shared by its clones ([`RerouteTrees`]). Those
+//! trees and the searches from the task source run on the network's
+//! distance engine ([`LazyDistances::predecessors_with`]), the same CSR
+//! Dijkstra kernel that fills its cost rows.
 
 use crate::chain::ChainSolution;
 use crate::cost::{delivery_cost, CostBreakdown};
@@ -15,7 +18,8 @@ use crate::task::MulticastTask;
 use crate::{msa, opa, rsa, sca, CoreError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sft_graph::{approx_le, CancelToken, EdgeId, Graph, NodeId, Parallelism, SteinerCache};
+use sft_graph::provider::NO_NODE;
+use sft_graph::{approx_le, CancelToken, Graph, LazyDistances, NodeId, Parallelism, SteinerCache};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -202,28 +206,41 @@ const LAMBDA_LADDER: &[f64] = &[0.0, 0.25, 1.0, 4.0, 16.0];
 /// latency-only certificate.
 const RUNGS: usize = LAMBDA_LADDER.len() + 1;
 
-/// Per-edge weight of rung `rung`.
-fn rung_weight(graph: &Graph, rung: usize, e: EdgeId) -> f64 {
+/// Arc weight under rung `rung`, given the arc's cost and latency.
+fn rung_metric(rung: usize, cost: f64, latency: f64) -> f64 {
     match LAMBDA_LADDER.get(rung) {
-        Some(&lambda) => graph.weight(e) + lambda * graph.effective_latency(e),
-        None => graph.effective_latency(e),
+        Some(&lambda) => cost + lambda * latency,
+        None => latency,
     }
 }
 
-/// Marks "no predecessor" in a [`RerouteTrees`] slot.
-const NO_PRED: u32 = u32::MAX;
+/// The rung's shortest `a`→`b` path from `a`'s predecessor array, or
+/// `None` when `b` is unreachable.
+fn walk(pred: &[u32], a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+    let mut path = vec![b];
+    let mut cur = b;
+    while cur != a {
+        match pred[cur.0] {
+            NO_NODE => return None,
+            p => cur = NodeId(p as usize),
+        }
+        path.push(cur);
+    }
+    path.reverse();
+    Some(path)
+}
 
 /// The delay repair's single-source trees, one per (rung, server), memoized
 /// for the life of a network and shared by its clones.
 ///
 /// A rung's metric reads only edge weights and latencies, which no commit
 /// or release changes, so a tree computed once serves every later solve.
-/// Each slot is filled on first use by a full run of the same Dijkstra the
-/// early-stopped per-segment search runs (same adjacency order, same f64
-/// weights); a node's predecessor is final once it settles and every node
-/// on a path settles before its end, so the predecessor walk returns
-/// exactly the early-stopped path. Slots keep predecessors only, 4 bytes
-/// per node, for at most `RUNGS · |S|` trees.
+/// Each slot is filled on first use by a full run of the same kernel the
+/// early-stopped source search runs ([`LazyDistances::predecessors_with`]);
+/// a node's predecessor is final once it settles and every node on a path
+/// settles before its end, so the predecessor walk returns exactly the
+/// early-stopped path. Slots keep predecessors only, 4 bytes per node, for
+/// at most `RUNGS · |S|` trees.
 pub(crate) struct RerouteTrees {
     /// Server nodes in index order; `slots[rung * servers.len() + i]`
     /// holds the rung's tree from `servers[i]`.
@@ -244,7 +261,7 @@ impl RerouteTrees {
     /// server and so has no slot.
     fn path(
         &self,
-        graph: &Graph,
+        dist: &LazyDistances,
         rung: usize,
         a: NodeId,
         b: NodeId,
@@ -253,25 +270,9 @@ impl RerouteTrees {
         if a == b {
             return Some(Some(vec![a]));
         }
-        let pred = self.slots[rung * self.servers.len() + i].get_or_init(|| {
-            let tree = graph.dijkstra_with(a, |e| rung_weight(graph, rung, e));
-            let index = |p: NodeId| u32::try_from(p.0).expect("graph exceeds u32 node ids");
-            graph
-                .nodes()
-                .map(|v| tree.predecessor(v).map_or(NO_PRED, index))
-                .collect()
-        });
-        if pred[b.0] == NO_PRED {
-            return Some(None);
-        }
-        let mut path = vec![b];
-        let mut cur = b;
-        while cur != a {
-            cur = NodeId(pred[cur.0] as usize);
-            path.push(cur);
-        }
-        path.reverse();
-        Some(Some(path))
+        let pred = self.slots[rung * self.servers.len() + i]
+            .get_or_init(|| dist.predecessors_with(a, None, |c, l| rung_metric(rung, c, l)));
+        Some(walk(pred, a, b))
     }
 }
 
@@ -296,16 +297,15 @@ struct RungPaths<'a> {
 
 impl RungPaths<'_> {
     fn path(&mut self, rung: usize, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        let graph = self.network.graph();
-        if let Some(path) = self.network.reroute_trees().path(graph, rung, a, b) {
+        let dist = self.network.dist();
+        if let Some(path) = self.network.reroute_trees().path(dist, rung, a, b) {
             return path;
         }
         self.searched
             .entry((rung, a, b))
             .or_insert_with(|| {
-                graph
-                    .dijkstra_to_with(a, b, |e| rung_weight(graph, rung, e))
-                    .path_to(b)
+                let pred = dist.predecessors_with(a, Some(b), |c, l| rung_metric(rung, c, l));
+                walk(&pred, a, b)
             })
             .clone()
     }
@@ -647,6 +647,63 @@ mod tests {
             solve(&net, &tight, &options),
             Err(CoreError::DelayInfeasible { .. })
         ));
+    }
+
+    #[test]
+    fn the_engine_kernel_matches_graph_dijkstra_under_every_rung() {
+        use rand::RngExt;
+        use sft_graph::EdgeId;
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut searches = 0;
+        for round in 0..150 {
+            // Small integer weights and latencies, zeros included, make
+            // equal-metric paths common; a third of the links keep their
+            // weight as latency, and every fifth graph has no latency.
+            let n = rng.random_range(2..=10usize);
+            let mut g = Graph::new(n);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.random_range(0..5u32) < 2 {
+                        let w = f64::from(rng.random_range(0..=2u32));
+                        let e = g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                        if round % 5 != 0 && rng.random_range(0..3u32) > 0 {
+                            let l = f64::from(rng.random_range(0..=3u32));
+                            g.set_edge_latency(e, Some(l)).unwrap();
+                        }
+                    }
+                }
+            }
+            let dist = LazyDistances::new(&g);
+            for rung in 0..RUNGS {
+                let metric = |c, l| rung_metric(rung, c, l);
+                // The per-edge weight the repair searched `Graph` with.
+                let weight = |e: EdgeId| match LAMBDA_LADDER.get(rung) {
+                    Some(&lambda) => g.weight(e) + lambda * g.effective_latency(e),
+                    None => g.effective_latency(e),
+                };
+                for s in g.nodes() {
+                    let tree = dist.predecessors_with(s, None, metric);
+                    let full = g.dijkstra_with(s, weight);
+                    for t in g.nodes() {
+                        let parent = full.predecessor(t).map_or(NO_NODE, |p| p.0 as u32);
+                        assert_eq!(tree[t.0], parent, "rung {rung}, tree {s:?}, node {t:?}");
+                        let early = dist.predecessors_with(s, Some(t), metric);
+                        let want = g.dijkstra_to_with(s, t, weight).path_to(t);
+                        assert_eq!(walk(&early, s, t), want, "rung {rung}, {s:?} -> {t:?}");
+                        searches += 1;
+                    }
+                }
+            }
+        }
+        assert!(searches > 10_000);
+        // The kernel neither fills nor counts a cost row.
+        let (net, _) = fixture();
+        net.dist()
+            .predecessors_with(NodeId(0), None, |c, l| rung_metric(0, c, l));
+        assert_eq!(
+            (net.dist().row_misses(), net.dist().rows_materialized()),
+            (0, 0)
+        );
     }
 
     #[test]

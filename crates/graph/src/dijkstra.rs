@@ -1,13 +1,13 @@
 //! Single-source shortest paths (Dijkstra's algorithm).
 //!
-//! [`crate::Graph`]'s `dijkstra` methods and the distance engine share
-//! the core in this module. The paper uses Dijkstra twice: over the
-//! expanded MOD network to find the optimal single-chain embedding
-//! (Theorem 2; `sft-core` solves that layered DAG column by column with
-//! this search's tie rule), and inside the Kou–Markowsky–Berman Steiner
-//! construction.
+//! [`crate::Graph`]'s `dijkstra` methods run the core in this module over
+//! the graph's adjacency lists; the distance engine ([`crate::provider`])
+//! runs the same search over its CSR arrays. The paper uses Dijkstra
+//! twice: over the expanded MOD network to find the optimal single-chain
+//! embedding (Theorem 2; `sft-core` solves that layered DAG column by
+//! column with this search's tie rule), and inside the
+//! Kou–Markowsky–Berman Steiner construction.
 
-use crate::cancel::{CancelToken, Cancelled, CHECK_INTERVAL};
 use crate::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,7 +68,7 @@ impl ShortestPaths {
 
 /// Total-order wrapper over `f64` distances for the binary heap.
 #[derive(Copy, Clone, PartialEq)]
-struct HeapKey(f64);
+pub(crate) struct HeapKey(pub(crate) f64);
 
 impl Eq for HeapKey {}
 
@@ -93,57 +93,20 @@ pub(crate) fn dijkstra_core<F>(
     n: usize,
     source: NodeId,
     target: Option<NodeId>,
-    expand: F,
+    mut expand: F,
 ) -> ShortestPaths
 where
     F: FnMut(NodeId, &mut dyn FnMut(NodeId, f64)),
 {
-    match dijkstra_core_cancellable(n, source, target, expand, None) {
-        Ok(sp) => sp,
-        Err(Cancelled) => unreachable!("dijkstra without a token cannot be cancelled"),
-    }
-}
-
-/// [`dijkstra_core`] with a cooperative cancellation poll every
-/// [`CHECK_INTERVAL`] heap pops — the relax-batch granularity the
-/// service's deadline/drain interruption contract is stated in.
-///
-/// # Errors
-///
-/// [`Cancelled`] when `cancel` trips mid-search; the partial tree is
-/// discarded.
-pub(crate) fn dijkstra_core_cancellable<F>(
-    n: usize,
-    source: NodeId,
-    target: Option<NodeId>,
-    mut expand: F,
-    cancel: Option<&CancelToken>,
-) -> Result<ShortestPaths, Cancelled>
-where
-    F: FnMut(NodeId, &mut dyn FnMut(NodeId, f64)),
-{
     assert!(source.0 < n, "dijkstra source {source:?} out of bounds");
-    if let Some(token) = cancel {
-        // Upfront poll: an already-tripped token (expired deadline, drain)
-        // interrupts immediately even on graphs smaller than one batch.
-        token.check()?;
-    }
     let mut dist = vec![f64::INFINITY; n];
     let mut pred = vec![None; n];
     let mut settled = vec![false; n];
     let mut heap = BinaryHeap::new();
     dist[source.0] = 0.0;
     heap.push(Reverse((HeapKey(0.0), source.0)));
-    let mut pops: u32 = 0;
 
     while let Some(Reverse((HeapKey(d), u))) = heap.pop() {
-        if let Some(token) = cancel {
-            pops += 1;
-            if pops >= CHECK_INTERVAL {
-                pops = 0;
-                token.check()?;
-            }
-        }
         if settled[u] {
             continue;
         }
@@ -162,7 +125,7 @@ where
         });
     }
 
-    Ok(ShortestPaths { source, dist, pred })
+    ShortestPaths { source, dist, pred }
 }
 
 impl Graph {
@@ -223,10 +186,11 @@ impl Graph {
         })
     }
 
-    /// [`Graph::dijkstra_to`] under a caller-supplied per-edge weight —
-    /// the hook for composite metrics such as the delay-aware
-    /// `cost + λ·latency` relaxation. `weight` must return a finite,
-    /// non-negative value for every edge.
+    /// [`Graph::dijkstra_to`] under a caller-supplied per-edge weight, such
+    /// as the delay repair's `cost + λ·latency`. `weight` must return a
+    /// finite, non-negative value for every edge. The repair itself runs
+    /// on [`crate::LazyDistances::predecessors_with`]; this search is its
+    /// oracle in tests.
     ///
     /// # Panics
     ///
@@ -388,24 +352,24 @@ mod tests {
 
     #[test]
     fn a_tripped_token_interrupts_and_a_live_one_changes_nothing() {
+        // The cancellable form of this search is the distance engine's
+        // kernel; a row fill is a full search from the source.
+        use crate::{CancelToken, Cancelled, LazyDistances};
         let mut g = Graph::new(200);
         for i in 0..199 {
             g.add_edge(NodeId(i), NodeId(i + 1), 1.0).unwrap();
         }
-        let expand = |u: NodeId, visit: &mut dyn FnMut(NodeId, f64)| {
-            for (v, e) in g.neighbors(u) {
-                visit(v, g.weight(e));
-            }
-        };
+        let lazy = LazyDistances::new(&g);
         let tripped = CancelToken::new();
         tripped.cancel();
-        let r = dijkstra_core_cancellable(200, NodeId(0), None, expand, Some(&tripped));
-        assert_eq!(r.err(), Some(Cancelled));
+        let r = lazy.try_distance(NodeId(0), NodeId(199), Some(&tripped));
+        assert_eq!(r, Err(Cancelled));
 
         let live = CancelToken::new();
-        let sp = dijkstra_core_cancellable(200, NodeId(0), None, expand, Some(&live))
+        let d = lazy
+            .try_distance(NodeId(0), NodeId(199), Some(&live))
             .expect("a live token never interrupts");
-        assert_eq!(sp.distance(NodeId(199)), Some(199.0));
+        assert_eq!(d, Some(199.0));
     }
 
     #[test]

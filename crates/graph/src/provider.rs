@@ -1,20 +1,40 @@
 //! On-demand shortest-path distances: the workspace's one distance engine.
 //!
 //! The paper's algorithms are stated over a precomputed all-pairs matrix
-//! (Theorem 5 charges Floyd's `O(|V|³)`), but a single embedding only
-//! ever touches a handful of sources: the source, the servers and the
-//! destinations. [`LazyDistances`] keeps a flat CSR copy of the adjacency
-//! (built once per graph), runs per-source Dijkstra the first time a row
-//! is asked for, and memoizes the row in a write-once slot so every later
-//! query — from any thread — reads it without a lock.
+//! (Theorem 5 charges Floyd's `O(|V|³)`). [`LazyDistances`] keeps a flat
+//! CSR copy of the adjacency (built once per graph), runs per-source
+//! Dijkstra the first time a row is asked for, and memoizes the row in a
+//! write-once slot so every later query — from any thread — reads it
+//! without a lock. A solve fills the rows of the source, the servers and
+//! the destinations, plus one row per node of every path it reads: a
+//! [`LazyDistances::path`] consults the row of each node it passes.
+//!
+//! # Row layout
+//!
+//! A row costs 12 bytes per node: an 8-byte distance and a 4-byte first
+//! hop (`u32`, [`NO_NODE`] for the source and unreached targets). The
+//! search writes distances straight into the row and `u32` predecessors
+//! into its first-hop array, then one pass in settle order turns each
+//! predecessor into a first hop, since a node's parent settles before it.
+//!
+//! # One search kernel
+//!
+//! Rows and [`LazyDistances::predecessors_with`] run the same Dijkstra
+//! over the CSR arrays; the latter weighs each arc by a caller's
+//! `metric(cost, latency)`, which is how the delay repair's λ-ladder
+//! trees and searches run on this engine.
 //!
 //! # Determinism
 //!
-//! A row is computed by the same Dijkstra core as [`Graph::dijkstra`],
-//! expanding neighbors in the graph's adjacency insertion order, so
+//! The kernel pops `(distance, node id)` in the order
+//! [`Graph::dijkstra`] does, expands neighbors in the graph's adjacency
+//! insertion order over the same f64 arc weights, and moves a
+//! predecessor only on strict improvement. So
 //! [`LazyDistances::distance`] equals `graph.dijkstra(u).distance(v)` bit
-//! for bit and shortest-path tie-breaks never depend on which thread
-//! computed a row or in what order rows were filled.
+//! for bit, [`LazyDistances::predecessors_with`] equals
+//! [`Graph::dijkstra_with`] under the same metric, and shortest-path
+//! tie-breaks never depend on which thread computed a row or in what
+//! order rows were filled.
 //!
 //! # Aggregate semantics on disconnected graphs
 //!
@@ -25,20 +45,35 @@
 //! Both return 0.0 when no qualifying pair exists. They stream rows
 //! (compute, fold, discard), so the aggregates stay O(n) resident.
 
-use crate::cancel::{CancelToken, Cancelled};
-use crate::dijkstra::dijkstra_core_cancellable;
+use crate::cancel::{CancelToken, Cancelled, CHECK_INTERVAL};
+use crate::dijkstra::HeapKey;
 use crate::{Graph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+/// "No node" in a first-hop or predecessor array: the source itself and
+/// every unreached node.
+pub const NO_NODE: u32 = u32::MAX;
+
 /// One memoized Dijkstra row: distances from a fixed source plus the
-/// first hop towards every reachable target.
+/// first hop towards every reachable target, 12 bytes per node.
 #[derive(Debug)]
 struct Row {
+    dist: Box<[f64]>,
+    // next[t] = the node following the source on a shortest source->t
+    // path; NO_NODE for the source and unreached targets.
+    next: Box<[u32]>,
+}
+
+/// What one kernel search leaves: tentative-or-final distances and
+/// predecessors ([`NO_NODE`] where none), and the nodes in settle order.
+struct Search {
     dist: Vec<f64>,
-    // next[t] = the node following the source on a shortest source->t path.
-    next: Vec<Option<NodeId>>,
+    pred: Vec<u32>,
+    order: Vec<u32>,
 }
 
 /// On-demand shortest paths over a flat CSR adjacency.
@@ -79,8 +114,14 @@ impl fmt::Debug for LazyDistances {
 impl LazyDistances {
     /// Snapshots `graph` into the packed CSR arrays. O(|V| + |E|) time
     /// and memory; no shortest paths are computed yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` nodes or arcs.
     pub fn new(graph: &Graph) -> LazyDistances {
         let n = graph.node_count();
+        // Node ids are stored as u32, all below the NO_NODE sentinel.
+        u32::try_from(n).expect("graph exceeds u32 node ids");
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
         let mut costs = Vec::with_capacity(2 * graph.edge_count());
@@ -115,40 +156,113 @@ impl LazyDistances {
         self.n
     }
 
-    /// Runs Dijkstra from `s` over the CSR arrays and derives each
-    /// target's first hop by walking predecessors back to the source.
-    fn compute_row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<Row, Cancelled> {
-        let sp = dijkstra_core_cancellable(
-            self.n,
-            NodeId(s),
-            None,
-            |u, visit| {
-                let lo = self.offsets[u.0] as usize;
-                let hi = self.offsets[u.0 + 1] as usize;
-                for i in lo..hi {
-                    visit(NodeId(self.neighbors[i] as usize), self.costs[i]);
-                }
-            },
-            cancel,
-        )?;
+    /// Dijkstra from `s` over the CSR arrays, weighing arc `i` by
+    /// `weight(i)`; stops once `target` settles. Pops `(distance, id)` in
+    /// order and moves a predecessor only on strict improvement, exactly as
+    /// [`Graph::dijkstra`] does.
+    fn search(
+        &self,
+        s: usize,
+        target: Option<usize>,
+        weight: impl Fn(usize) -> f64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Search, Cancelled> {
+        assert!(s < self.n, "dijkstra source {s} out of bounds");
+        if let Some(token) = cancel {
+            // Upfront poll: an already-tripped token interrupts even on
+            // graphs smaller than one batch.
+            token.check()?;
+        }
         let mut dist = vec![f64::INFINITY; self.n];
-        let mut next = vec![None; self.n];
-        for (t, d) in sp.reached() {
-            dist[t.0] = d;
-            if t.0 == s {
+        let mut pred = vec![NO_NODE; self.n];
+        let mut order = Vec::with_capacity(self.n);
+        let mut heap = BinaryHeap::new();
+        dist[s] = 0.0;
+        heap.push(Reverse((HeapKey(0.0), s as u32)));
+        let mut pops: u32 = 0;
+        while let Some(Reverse((HeapKey(d), u))) = heap.pop() {
+            if let Some(token) = cancel {
+                pops += 1;
+                if pops >= CHECK_INTERVAL {
+                    pops = 0;
+                    token.check()?;
+                }
+            }
+            let u = u as usize;
+            // A node is pushed only on strict improvement, so exactly one
+            // of its entries carries its distance; a larger key is stale.
+            if d > dist[u] {
                 continue;
             }
-            let mut cur = t;
-            loop {
-                match sp.predecessor(cur) {
-                    Some(p) if p.0 == s => break,
-                    Some(p) => cur = p,
-                    None => break,
+            order.push(u as u32);
+            if target == Some(u) {
+                break;
+            }
+            for i in self.offsets[u] as usize..self.offsets[u + 1] as usize {
+                let w = weight(i);
+                debug_assert!(w >= 0.0, "negative arc weight in dijkstra");
+                let v = self.neighbors[i] as usize;
+                let nd = d + w;
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    pred[v] = u as u32;
+                    heap.push(Reverse((HeapKey(nd), v as u32)));
                 }
             }
-            next[t.0] = Some(cur);
         }
-        Ok(Row { dist, next })
+        Ok(Search { dist, pred, order })
+    }
+
+    /// The cost row of `s`: the search's distances, and its predecessors
+    /// turned into first hops in place. Walking the settle order visits
+    /// every parent before its children, so each node copies its parent's
+    /// first hop (or is one, when the parent is `s`) in O(n) overall.
+    fn compute_row(&self, s: usize, cancel: Option<&CancelToken>) -> Result<Row, Cancelled> {
+        let Search {
+            dist,
+            pred: mut next,
+            order,
+        } = self.search(s, None, |i| self.costs[i], cancel)?;
+        // order[0] is the source, whose slot stays NO_NODE.
+        for &t in &order[1..] {
+            let parent = next[t as usize];
+            next[t as usize] = if parent as usize == s {
+                t
+            } else {
+                next[parent as usize]
+            };
+        }
+        Ok(Row {
+            dist: dist.into_boxed_slice(),
+            next: next.into_boxed_slice(),
+        })
+    }
+
+    /// Shortest-path predecessors from `source` when arc `u -> v` weighs
+    /// `metric(cost, latency)` (latency is the cost on a latency-free
+    /// graph); `metric` must be finite and non-negative. `pred[v]` is
+    /// `v`'s parent, [`NO_NODE`] for the source and unreached nodes. With
+    /// `target` the search stops once it settles, and only the walk back
+    /// from `target` is final: it equals the full tree's path, because
+    /// every node on it settled first. Neither fills nor counts a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of bounds.
+    pub fn predecessors_with(
+        &self,
+        source: NodeId,
+        target: Option<NodeId>,
+        metric: impl Fn(f64, f64) -> f64,
+    ) -> Box<[u32]> {
+        let weight = |i: usize| {
+            let cost = self.costs[i];
+            metric(cost, self.lats.as_ref().map_or(cost, |lats| lats[i]))
+        };
+        match self.search(source.0, target.map(|t| t.0), weight, None) {
+            Ok(search) => search.pred.into_boxed_slice(),
+            Err(Cancelled) => unreachable!("no token was supplied"),
+        }
     }
 
     /// The memoized row for source `s`, computing and publishing it on a
@@ -238,11 +352,11 @@ impl LazyDistances {
         let mut cur = u;
         while cur != v {
             match self.row(cur.0, cancel)?.next[v.0] {
-                Some(next) => {
-                    path.push(next);
-                    cur = next;
+                NO_NODE => return Ok(None),
+                next => {
+                    cur = NodeId(next as usize);
+                    path.push(cur);
                 }
-                None => return Ok(None),
             }
         }
         Ok(Some(path))
@@ -283,8 +397,8 @@ impl LazyDistances {
         for s in 0..self.n {
             match self.rows[s].get() {
                 Some(row) => fold(s, &row.dist),
-                None => match self.compute_row(s, None) {
-                    Ok(row) => fold(s, &row.dist),
+                None => match self.search(s, None, |i| self.costs[i], None) {
+                    Ok(search) => fold(s, &search.dist),
                     Err(Cancelled) => unreachable!("no token was supplied"),
                 },
             }
@@ -329,6 +443,18 @@ impl LazyDistances {
     /// Distance rows currently resident in memory.
     pub fn rows_materialized(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
+    }
+
+    /// Bytes held by resident rows: 12 per node per row (see the module
+    /// docs).
+    pub fn resident_row_bytes(&self) -> u64 {
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|row| {
+                (std::mem::size_of_val(&*row.dist) + std::mem::size_of_val(&*row.next)) as u64
+            })
+            .sum()
     }
 
     /// High-water mark of resident rows. Rows are never dropped, so this
@@ -387,6 +513,124 @@ mod tests {
         }
         assert_eq!(lazy.rows_materialized(), 5);
         assert_eq!(lazy.peak_rows(), 5);
+    }
+
+    /// The row derivation before rows went compact, kept as the oracle:
+    /// `Graph::dijkstra`, then each target's first hop found by walking
+    /// predecessors back from the target to the source.
+    fn reference_row(g: &Graph, s: NodeId) -> (Vec<Option<f64>>, Vec<Option<NodeId>>) {
+        let sp = g.dijkstra(s);
+        let mut next = vec![None; g.node_count()];
+        for (t, _) in sp.reached() {
+            if t == s {
+                continue;
+            }
+            let mut cur = t;
+            while let Some(p) = sp.predecessor(cur) {
+                if p == s {
+                    break;
+                }
+                cur = p;
+            }
+            next[t.0] = Some(cur);
+        }
+        (g.nodes().map(|t| sp.distance(t)).collect(), next)
+    }
+
+    /// Small integer weights and latencies (zeros included) make equal
+    /// distances common; a cut splits some graphs into unreachable parts,
+    /// and latencies are absent, partial or on every link.
+    fn tie_heavy_graph(rng: &mut rand::rngs::StdRng) -> Graph {
+        use rand::RngExt;
+        let n = rng.random_range(1..=12usize);
+        let cut = rng.random_range(1..=n);
+        let density = [2u32, 4, 7][rng.random_range(0..3usize)];
+        let latencies = rng.random_range(0..3u32);
+        let mut g = Graph::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if (u < cut) != (v < cut) || rng.random_range(0..10u32) >= density {
+                    continue;
+                }
+                let w = f64::from(rng.random_range(0..=2u32));
+                let e = g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                if latencies == 2 || (latencies == 1 && rng.random_range(0..2u32) == 0) {
+                    let l = f64::from(rng.random_range(0..=3u32));
+                    g.set_edge_latency(e, Some(l)).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn compact_rows_match_the_reference_derivation_on_tie_heavy_graphs() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let (mut unreachable, mut latency_graphs) = (0, 0);
+        for _ in 0..400 {
+            let g = tie_heavy_graph(&mut rng);
+            latency_graphs += usize::from(g.has_edge_latencies());
+            let lazy = LazyDistances::new(&g);
+            let reference: Vec<_> = g.nodes().map(|s| reference_row(&g, s)).collect();
+            let reference_path = |u: NodeId, v: NodeId| {
+                reference[u.0].0[v.0]?;
+                let mut path = vec![u];
+                let mut cur = u;
+                while cur != v {
+                    cur = reference[cur.0].1[v.0]?;
+                    path.push(cur);
+                }
+                Some(path)
+            };
+            for s in g.nodes() {
+                let row = lazy.row(s.0, None).unwrap();
+                let (dist, next) = &reference[s.0];
+                for t in g.nodes() {
+                    let want = dist[t.0].unwrap_or(f64::INFINITY);
+                    assert_eq!(row.dist[t.0].to_bits(), want.to_bits(), "{s:?}->{t:?}");
+                    let hop = next[t.0].map_or(NO_NODE, |h| h.0 as u32);
+                    assert_eq!(row.next[t.0], hop, "first hop {s:?}->{t:?}");
+                    let path = reference_path(s, t);
+                    unreachable += usize::from(path.is_none());
+                    let delay = path.as_ref().map(|p| {
+                        let cost = dist[t.0].unwrap();
+                        if !g.has_edge_latencies() {
+                            return (cost, cost);
+                        }
+                        let delay = p.windows(2).fold(0.0, |acc, w| {
+                            acc + g.effective_latency(g.find_edge(w[0], w[1]).unwrap())
+                        });
+                        (cost, delay)
+                    });
+                    assert_eq!(lazy.path(s, t), path, "path {s:?}->{t:?}");
+                    let bits = |(c, d): (f64, f64)| (c.to_bits(), d.to_bits());
+                    assert_eq!(
+                        lazy.distance_and_delay(s, t).map(bits),
+                        delay.map(bits),
+                        "delay {s:?}->{t:?}"
+                    );
+                }
+            }
+        }
+        assert!(unreachable > 0 && latency_graphs > 0);
+    }
+
+    #[test]
+    fn a_resident_row_costs_twelve_bytes_per_node() {
+        let n = 100;
+        let mut g = Graph::new(n);
+        for i in 1..n {
+            g.add_edge(NodeId(i - 1), NodeId(i), 1.0).unwrap();
+        }
+        let lazy = LazyDistances::new(&g);
+        assert_eq!(lazy.resident_row_bytes(), 0);
+        lazy.distance(NodeId(0), NodeId(7));
+        assert_eq!(lazy.resident_row_bytes(), 12 * n as u64);
+        // A path reads the row of every node it passes.
+        lazy.path(NodeId(40), NodeId(49)).unwrap();
+        assert_eq!(lazy.rows_materialized(), 10);
+        assert_eq!(lazy.resident_row_bytes(), 12 * n as u64 * 10);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sft_graph::{generate::euclidean_er, Graph, NodeId};
+use sft_graph::generate::{self, euclidean_er};
+use sft_graph::{Graph, KmbSweep, LazyDistances, NodeId, SteinerTree};
 use sft_lp::{Cmp, MipConfig, Problem};
 use std::hint::black_box;
 
@@ -22,16 +23,64 @@ fn bench_dijkstra(c: &mut Criterion) {
     });
 }
 
+/// A Waxman WAN with the CLI's `waxman:<n>:<seed>` density: `beta = 0.4`
+/// and an expected degree of `2 ln n`.
+fn waxman(n: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let beta = 0.4;
+    let alpha = (2.0 * (n as f64).ln() / (4.0 * std::f64::consts::PI * beta * n as f64)).sqrt();
+    generate::waxman(n, alpha, beta, 100.0, &mut rng)
+        .unwrap()
+        .graph
+}
+
+/// KMB on the distance engine's rows, warmed by one build before timing
+/// (the steady state of a long-running service), beside the
+/// Takahashi–Matsuyama ablation.
 fn bench_steiner(c: &mut Criterion) {
     let g = er(100, 3);
+    let dist = LazyDistances::new(&g);
     let terminals: Vec<NodeId> = (0..12).map(|i| NodeId(i * 7 % 100)).collect();
+    let kmb = || {
+        g.steiner_kmb_with_provider(&dist, &terminals, None)
+            .unwrap()
+    };
+    kmb();
     let mut group = c.benchmark_group("graph/steiner_100n_12t");
-    group.bench_function("kmb", |b| {
-        b.iter(|| black_box(g.steiner_kmb(&terminals).unwrap()))
-    });
+    group.bench_function("kmb", |b| b.iter(|| black_box(kmb())));
     group.bench_function("takahashi", |b| {
         b.iter(|| black_box(g.steiner_takahashi(&terminals).unwrap()))
     });
+    group.finish();
+
+    // Shaped like the lazy_delay_churn workload: one root and four
+    // destinations on a 2,000-node WAN, and a stage-1 sweep building the
+    // trees of eight roots over those destinations.
+    let g = waxman(2_000, 7);
+    let dist = LazyDistances::new(&g);
+    let dests: Vec<NodeId> = [311, 977, 1_403, 1_850].map(NodeId).to_vec();
+    let roots: Vec<NodeId> = (0..8).map(|i| NodeId(i * 250 + 60)).collect();
+    let mut terminals = vec![roots[0]];
+    terminals.extend_from_slice(&dests);
+    let sweep = || {
+        let mut sweep = KmbSweep::new(&g, &dist, &dests);
+        let trees: Vec<SteinerTree> = roots
+            .iter()
+            .map(|&r| sweep.tree(r, None).unwrap())
+            .collect();
+        trees
+    };
+    sweep();
+    let mut group = c.benchmark_group("graph/steiner_2000n_5t");
+    group.bench_function("kmb", |b| {
+        b.iter(|| {
+            black_box(
+                g.steiner_kmb_with_provider(&dist, &terminals, None)
+                    .unwrap(),
+            )
+        })
+    });
+    group.bench_function("kmb_sweep_8_roots", |b| b.iter(|| black_box(sweep())));
     group.finish();
 }
 

@@ -8,6 +8,11 @@
 //! output captured before edges learned capacities. Response lines must
 //! match byte-for-byte; of the trailing stats block only the wall-clock
 //! latency line may differ.
+//!
+//! Palmetto is latency-free, so a second anchor,
+//! `tests/golden/waxman_delay_serve.jsonl`, pins a delay-budget session
+//! stream on a latency-bearing Waxman substrate (see
+//! [`delay_budget_stream_is_byte_identical_to_its_anchor`]).
 
 use sft_core::{Network, SolveOptions, Strategy, VnfCatalog};
 use sft_service::protocol::{self, Request, RequestMode};
@@ -15,6 +20,7 @@ use sft_service::{EmbedService, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -177,4 +183,62 @@ fn socket_responses_are_byte_identical_to_the_pre_refactor_anchor() {
     handle.shutdown();
     handle.join();
     assert_eq!(got, want, "socket responses drifted from the anchor");
+}
+
+/// Runs the built `sft` binary with `args`, feeding `stdin`, and returns
+/// its standard output.
+fn sft(args: &str, stdin: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sft"))
+        .args(args.split_whitespace())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn sft");
+    let mut pipe = child.stdin.take().expect("piped stdin");
+    let input = stdin.to_string();
+    // Write from a thread: `serve` answers while it reads, so a full
+    // output pipe must never wait on a blocked writer.
+    let writer = std::thread::spawn(move || pipe.write_all(input.as_bytes()));
+    let out = child.wait_with_output().expect("sft runs");
+    writer.join().unwrap().expect("sft reads its stdin");
+    assert!(out.status.success(), "sft {args} failed");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// The latency-bearing anchor: the response lines of
+///
+/// ```text
+/// sft workload --topology waxman:300:7 --count 60 --rate 2 --hold 5 \
+///     --seed 3 --dests 4 --delay-budget 20 \
+///   | sft serve --topology waxman:300:7 --servers 32 --link-latency 2
+/// ```
+///
+/// Every session commits and is released again, so the stream drives
+/// stage 1 (KMB on lazy rows, capacity repair), OPA, the delay repair's
+/// λ ladder and the ledger. Its answers include `ok` lines carrying
+/// `max_path_delay` (some of them on repaired routes) and
+/// `delay_infeasible` refusals; all must match byte for byte.
+#[test]
+fn delay_budget_stream_is_byte_identical_to_its_anchor() {
+    let stream = sft(
+        "workload --topology waxman:300:7 --count 60 --rate 2 --hold 5 --seed 3 --dests 4 \
+         --delay-budget 20",
+        "",
+    );
+    let out = sft(
+        "serve --topology waxman:300:7 --servers 32 --link-latency 2",
+        &stream,
+    );
+    let got: Vec<&str> = out.lines().filter(|l| l.starts_with('{')).collect();
+    let golden = std::fs::read_to_string(repo_path("tests/golden/waxman_delay_serve.jsonl"))
+        .expect("golden anchor file");
+    let want: Vec<&str> = golden.lines().collect();
+    assert!(want.iter().any(|l| l.contains("\"max_path_delay\":")));
+    assert!(want
+        .iter()
+        .any(|l| l.contains("\"code\":\"delay_infeasible\"")));
+    assert_eq!(got.len(), want.len(), "line count drifted:\n{out}");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "line {i} drifted from the latency anchor");
+    }
 }

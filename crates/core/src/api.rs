@@ -6,8 +6,8 @@
 //! shortest-path trees depend only on the graph, so they are computed
 //! once per network and shared by its clones ([`RerouteTrees`]). Those
 //! trees and the searches from the task source run on the network's
-//! distance engine ([`LazyDistances::predecessors_with`]), the same CSR
-//! Dijkstra kernel that fills its cost rows.
+//! distance engine ([`sft_graph::LazyDistances::predecessors_with`]), the
+//! same CSR Dijkstra kernel that fills its cost rows.
 
 use crate::chain::ChainSolution;
 use crate::cost::{delivery_cost, CostBreakdown};
@@ -19,7 +19,7 @@ use crate::{msa, opa, rsa, sca, CoreError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sft_graph::provider::NO_NODE;
-use sft_graph::{approx_le, CancelToken, Graph, LazyDistances, NodeId, Parallelism, SteinerCache};
+use sft_graph::{approx_le, CancelToken, Graph, NodeId, Parallelism, SteinerCache};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -170,21 +170,32 @@ fn finish(
     chain: ChainSolution,
     stage_two: StageTwo,
 ) -> Result<SolveResult, CoreError> {
-    let (embedding, stage1_cost, added_instances) = match stage_two {
+    // OPA prices the embedding it returns; stage 1 alone leaves it unpriced.
+    let (mut embedding, stage1_cost, added_instances, mut priced) = match stage_two {
         StageTwo::Opa => {
             let out = opa::optimize(network, task, &chain)?;
-            (out.embedding, Some(out.initial_cost), out.added_instances)
+            (
+                out.embedding,
+                Some(out.initial_cost),
+                out.added_instances,
+                Some(out.cost),
+            )
         }
-        StageTwo::Skip => (chain.to_embedding(network, task)?, None, Vec::new()),
+        StageTwo::Skip => (chain.to_embedding(network, task)?, None, Vec::new(), None),
     };
-    let (embedding, max_path_delay) = match task.delay_budget() {
-        None => (embedding, None),
-        Some(budget) => {
-            let (repaired, delay) = enforce_delay_budget(network, task, embedding, budget)?;
-            (repaired, Some(delay))
+    let mut max_path_delay = None;
+    if let Some(budget) = task.delay_budget() {
+        let (rerouted, delay) = enforce_delay_budget(network, task, &embedding, budget)?;
+        if let Some(rerouted) = rerouted {
+            embedding = rerouted;
+            priced = None;
         }
+        max_path_delay = Some(delay);
+    }
+    let cost = match priced {
+        Some(cost) => cost,
+        None => delivery_cost(network, task, &embedding)?,
     };
-    let cost = delivery_cost(network, task, &embedding)?;
     Ok(SolveResult {
         stage1_cost: stage1_cost.unwrap_or_else(|| cost.total()),
         embedding,
@@ -236,42 +247,44 @@ fn walk(pred: &[u32], a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
 /// A rung's metric reads only edge weights and latencies, which no commit
 /// or release changes, so a tree computed once serves every later solve.
 /// Each slot is filled on first use by a full run of the same kernel the
-/// early-stopped source search runs ([`LazyDistances::predecessors_with`]);
+/// early-stopped source search runs
+/// ([`sft_graph::LazyDistances::predecessors_with`]);
 /// a node's predecessor is final once it settles and every node on a path
 /// settles before its end, so the predecessor walk returns exactly the
 /// early-stopped path. Slots keep predecessors only, 4 bytes per node, for
 /// at most `RUNGS · |S|` trees.
 pub(crate) struct RerouteTrees {
-    /// Server nodes in index order; `slots[rung * servers.len() + i]`
-    /// holds the rung's tree from `servers[i]`.
-    servers: Vec<NodeId>,
+    /// `slots[rung * |S| + i]` holds the rung's tree from server `i` of
+    /// [`Network::server_list`].
     slots: Vec<OnceLock<Box<[u32]>>>,
 }
 
 impl RerouteTrees {
-    pub(crate) fn new(servers: Vec<NodeId>) -> Self {
-        let slots = (0..RUNGS * servers.len())
-            .map(|_| OnceLock::new())
-            .collect();
-        RerouteTrees { servers, slots }
+    pub(crate) fn new(servers: usize) -> Self {
+        let slots = (0..RUNGS * servers).map(|_| OnceLock::new()).collect();
+        RerouteTrees { slots }
     }
 
-    /// The rung's shortest `a`→`b` path read off the tree from `a`
-    /// (`Some(None)` when `b` is unreachable), or `None` when `a` is not a
-    /// server and so has no slot.
+    /// The rung's shortest `a`→`b` path on `network`, whose trees these
+    /// are, read off the tree from `a` (`Some(None)` when `b` is
+    /// unreachable), or `None` when `a` is not a server and so has no slot.
     fn path(
         &self,
-        dist: &LazyDistances,
+        network: &Network,
         rung: usize,
         a: NodeId,
         b: NodeId,
     ) -> Option<Option<Vec<NodeId>>> {
-        let i = self.servers.binary_search(&a).ok()?;
+        let servers = network.server_list();
+        let i = servers.binary_search(&a).ok()?;
         if a == b {
             return Some(Some(vec![a]));
         }
-        let pred = self.slots[rung * self.servers.len() + i]
-            .get_or_init(|| dist.predecessors_with(a, None, |c, l| rung_metric(rung, c, l)));
+        let pred = self.slots[rung * servers.len() + i].get_or_init(|| {
+            network
+                .dist()
+                .predecessors_with(a, None, |c, l| rung_metric(rung, c, l))
+        });
         Some(walk(pred, a, b))
     }
 }
@@ -280,7 +293,7 @@ impl std::fmt::Debug for RerouteTrees {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let filled = self.slots.iter().filter(|s| s.get().is_some()).count();
         f.debug_struct("RerouteTrees")
-            .field("servers", &self.servers.len())
+            .field("slots", &self.slots.len())
             .field("filled", &filled)
             .finish()
     }
@@ -297,10 +310,10 @@ struct RungPaths<'a> {
 
 impl RungPaths<'_> {
     fn path(&mut self, rung: usize, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        let dist = self.network.dist();
-        if let Some(path) = self.network.reroute_trees().path(dist, rung, a, b) {
+        if let Some(path) = self.network.reroute_trees().path(self.network, rung, a, b) {
             return path;
         }
+        let dist = self.network.dist();
         self.searched
             .entry((rung, a, b))
             .or_insert_with(|| {
@@ -324,33 +337,34 @@ fn route_delay(graph: &Graph, route: &DestinationRoute) -> Result<f64, CoreError
 /// the violating ones by rerouting their segments between the *fixed*
 /// waypoints (source, placed instance nodes, destination) along the λ
 /// ladder — instance placements never move, so capacity accounting is
-/// untouched. Returns the (possibly rewritten) embedding and its largest
-/// route delay, or [`CoreError::DelayInfeasible`] when even the pure
-/// min-latency rerouting of some destination exceeds the budget.
+/// untouched. Returns the rewritten embedding (`None` when every route
+/// already met the budget) and the largest route delay, or
+/// [`CoreError::DelayInfeasible`] when even the pure min-latency rerouting
+/// of some destination exceeds the budget.
 fn enforce_delay_budget(
     network: &Network,
     task: &MulticastTask,
-    embedding: Embedding,
+    embedding: &Embedding,
     budget: f64,
-) -> Result<(Embedding, f64), CoreError> {
+) -> Result<(Option<Embedding>, f64), CoreError> {
     let graph = network.graph();
     let mut paths = RungPaths {
         network,
         searched: BTreeMap::new(),
     };
-    let mut routes = embedding.routes().to_vec();
+    let mut rewritten: Option<Vec<DestinationRoute>> = None;
     let mut max_delay = 0.0f64;
-    for (i, route) in routes.iter_mut().enumerate() {
+    for (i, route) in embedding.routes().iter().enumerate() {
         let delay = route_delay(graph, route)?;
         if approx_le(delay, budget) {
             max_delay = max_delay.max(delay);
             continue;
         }
         let (repaired, new_delay) = repair_route(&mut paths, task, i, route, budget)?;
-        *route = repaired;
+        rewritten.get_or_insert_with(|| embedding.routes().to_vec())[i] = repaired;
         max_delay = max_delay.max(new_delay);
     }
-    Ok((Embedding::new(routes), max_delay))
+    Ok((rewritten.map(Embedding::new), max_delay))
 }
 
 /// Reroutes one budget-violating route. Scans the λ ladder in ascending
@@ -634,12 +648,22 @@ mod tests {
         let free = solve(&net, &base, &options).unwrap();
         assert_eq!(free.max_path_delay, None);
 
-        // Budget 6 forces the repair onto the fast arm (delay 2+2+1 = 5).
+        // Budget 6 forces the repair onto the fast arm (delay 2+2+1 = 5),
+        // with or without OPA; the rewritten route is priced afresh.
         let task = base.clone().with_delay_budget(6.0).unwrap();
-        let r = solve(&net, &task, &options).unwrap();
-        assert!(is_valid(&net, &task, &r.embedding));
-        let delay = r.max_path_delay.unwrap();
-        assert!((delay - 5.0).abs() < 1e-9, "delay {delay}");
+        for stage_two in [StageTwo::Opa, StageTwo::Skip] {
+            let options = SolveOptions {
+                stage_two,
+                ..SolveOptions::default()
+            };
+            let r = solve(&net, &task, &options).unwrap();
+            assert!(is_valid(&net, &task, &r.embedding));
+            let delay = r.max_path_delay.unwrap();
+            assert!((delay - 5.0).abs() < 1e-9, "delay {delay}");
+            let canonical = delivery_cost(&net, &task, &r.embedding).unwrap();
+            assert_eq!(bits(r.cost), bits(canonical), "{stage_two:?}");
+            assert!(r.cost.total() > free.cost.total());
+        }
 
         // Budget 3 is below the minimum achievable delay: structured error.
         let tight = base.with_delay_budget(3.0).unwrap();
@@ -647,6 +671,60 @@ mod tests {
             solve(&net, &tight, &options),
             Err(CoreError::DelayInfeasible { .. })
         ));
+    }
+
+    fn bits(cost: CostBreakdown) -> (u64, u64) {
+        (cost.setup.to_bits(), cost.link.to_bits())
+    }
+
+    /// `finish` reuses OPA's breakdown unless the delay repair rewrote a
+    /// route (checked in `delay_budget_repairs_routes_onto_the_fast_arm`);
+    /// either way the reported cost is the embedding's canonical cost, bit
+    /// for bit.
+    #[test]
+    fn the_reported_cost_is_the_embeddings_delivery_cost() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut branched = 0;
+        for _ in 0..40 {
+            // A ring with chords, so OPA finds branches to add.
+            let n = rng.random_range(6..=12usize);
+            let mut g = Graph::new(n);
+            for i in 0..n {
+                let w = f64::from(rng.random_range(1..=9u32));
+                g.add_edge(NodeId(i), NodeId((i + 1) % n), w).unwrap();
+            }
+            for _ in 0..n / 2 {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v && g.find_edge(NodeId(u), NodeId(v)).is_none() {
+                    let w = f64::from(rng.random_range(1..=9u32));
+                    g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                }
+            }
+            let net = Network::builder(g, VnfCatalog::uniform(2))
+                .all_servers(2.0)
+                .unwrap()
+                .build()
+                .unwrap();
+            let dests: Vec<NodeId> = (1..n).step_by(2).map(NodeId).collect();
+            let sfc = Sfc::new(vec![VnfId(0), VnfId(1)]).unwrap();
+            let task = MulticastTask::new(NodeId(0), dests, sfc).unwrap();
+            for strategy in [Strategy::Msa, Strategy::Sca, Strategy::Rsa] {
+                for stage_two in [StageTwo::Opa, StageTwo::Skip] {
+                    let options = SolveOptions {
+                        strategy,
+                        stage_two,
+                        seed: 5,
+                        ..SolveOptions::default()
+                    };
+                    let r = solve(&net, &task, &options).unwrap();
+                    let want = delivery_cost(&net, &task, &r.embedding).unwrap();
+                    assert_eq!(bits(r.cost), bits(want), "{strategy:?} {stage_two:?}");
+                    branched += usize::from(!r.added_instances.is_empty());
+                }
+            }
+        }
+        assert!(branched > 0, "OPA must add instances on some instance");
     }
 
     #[test]
@@ -673,7 +751,7 @@ mod tests {
                     }
                 }
             }
-            let dist = LazyDistances::new(&g);
+            let dist = sft_graph::LazyDistances::new(&g);
             for rung in 0..RUNGS {
                 let metric = |c, l| rung_metric(rung, c, l);
                 // The per-edge weight the repair searched `Graph` with.

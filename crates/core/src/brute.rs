@@ -52,7 +52,7 @@ pub fn optimal_chain(
         'eval: {
             // Capacity.
             let usage = new_instance_usage(network, sfc, &placement);
-            for (&n, &u) in &usage {
+            for &(n, u) in &usage {
                 if network.deployed_load(n) + u > network.capacity(n) + 1e-9 {
                     break 'eval;
                 }
@@ -126,7 +126,7 @@ pub fn optimal_chain_tree(
         let placement: Vec<NodeId> = idx.iter().map(|&i| servers[i]).collect();
         'eval: {
             let usage = new_instance_usage(network, sfc, &placement);
-            for (&n, &u) in &usage {
+            for &(n, u) in &usage {
                 if network.deployed_load(n) + u > network.capacity(n) + 1e-9 {
                     break 'eval;
                 }

@@ -9,11 +9,10 @@
 use crate::embedding::{DestinationRoute, Embedding};
 use crate::network::Network;
 use crate::task::MulticastTask;
-use crate::vnf::{Sfc, VnfId};
+use crate::vnf::Sfc;
 use crate::CoreError;
 use sft_graph::numeric::exceeds;
 use sft_graph::{EdgeId, NodeId, RootedTree};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A stage-1 solution: an embedded chain plus a delivery Steiner tree
 /// rooted at the last chain node.
@@ -76,37 +75,84 @@ impl ChainSolution {
     }
 }
 
+/// Whether stage `j + 1` (0-based `j`) of `placement` is the first stage
+/// placing its VNF type on its node: repeated `(type, node)` pairs share
+/// one instance.
+fn first_use(sfc: &Sfc, placement: &[NodeId], j: usize) -> bool {
+    let (f, n) = (sfc.stage(j + 1), placement[j]);
+    !placement[..j]
+        .iter()
+        .enumerate()
+        .any(|(i, &m)| m == n && sfc.stage(i + 1) == f)
+}
+
 /// Resource usage added by the *new* instances of a chain placement,
-/// deduplicated by `(type, node)`.
+/// deduplicated by `(type, node)`: one `(node, demand)` entry per node, in
+/// order of first appearance, each summing its demands in stage order.
 pub(crate) fn new_instance_usage(
     network: &Network,
     sfc: &Sfc,
     placement: &[NodeId],
-) -> BTreeMap<NodeId, f64> {
-    let mut seen: BTreeSet<(VnfId, NodeId)> = BTreeSet::new();
-    let mut usage: BTreeMap<NodeId, f64> = BTreeMap::new();
+) -> Vec<(NodeId, f64)> {
+    let mut usage: Vec<(NodeId, f64)> = Vec::with_capacity(placement.len());
     for (j, &n) in placement.iter().enumerate() {
         let f = sfc.stage(j + 1);
-        if !network.is_deployed(f, n) && seen.insert((f, n)) {
-            *usage.entry(n).or_insert(0.0) += network.catalog().demand(f);
+        if network.is_deployed(f, n) || !first_use(sfc, placement, j) {
+            continue;
         }
+        let at = match usage.iter().position(|&(m, _)| m == n) {
+            Some(at) => at,
+            None => {
+                usage.push((n, 0.0));
+                usage.len() - 1
+            }
+        };
+        usage[at].1 += network.catalog().demand(f);
     }
     usage
+}
+
+/// The demand `usage` places on `n` (0.0 when none).
+fn usage_on(usage: &[(NodeId, f64)], n: NodeId) -> f64 {
+    usage
+        .iter()
+        .find(|&&(m, _)| m == n)
+        .map_or(0.0, |&(_, u)| u)
+}
+
+/// Cost of an embedded chain alone: inter-stage shortest-path costs plus
+/// setup costs of new instances, deduplicated by `(type, node)` — the
+/// closed form of the canonical cost restricted to segments `0..k`.
+pub(crate) fn chain_cost(network: &Network, task: &MulticastTask, placement: &[NodeId]) -> f64 {
+    let dist = network.dist();
+    let mut cost = 0.0;
+    let mut prev = task.source();
+    for (j, &n) in placement.iter().enumerate() {
+        cost += dist
+            .distance(prev, n)
+            .expect("chain nodes reachable by construction");
+        let f = task.sfc().stage(j + 1);
+        if !network.is_deployed(f, n) && first_use(task.sfc(), placement, j) {
+            cost += network.setup_cost(f, n);
+        }
+        prev = n;
+    }
+    cost
 }
 
 /// The server list and each server's deployed load, read once per solve
 /// and shared read-only by every capacity repair of that solve — every
 /// candidate row and every sweep thread.
-pub(crate) struct LoadSnapshot {
+pub(crate) struct LoadSnapshot<'a> {
     /// Server nodes in index order.
-    servers: Vec<NodeId>,
+    servers: &'a [NodeId],
     /// `load[i]`: [`Network::deployed_load`] of `servers[i]`.
     load: Vec<f64>,
 }
 
-impl LoadSnapshot {
-    pub(crate) fn new(network: &Network) -> Self {
-        let servers: Vec<NodeId> = network.servers().collect();
+impl<'a> LoadSnapshot<'a> {
+    pub(crate) fn new(network: &'a Network) -> Self {
+        let servers = network.server_list();
         let load = servers.iter().map(|&v| network.deployed_load(v)).collect();
         LoadSnapshot { servers, load }
     }
@@ -142,12 +188,8 @@ pub(crate) fn repair_capacity(
     // defensively.
     for _round in 0..(2 * k + 2) {
         let usage = new_instance_usage(network, sfc, placement);
-        let overloaded = |n: NodeId| {
-            exceeds(
-                loads.load(n) + usage.get(&n).copied().unwrap_or(0.0),
-                network.capacity(n),
-            )
-        };
+        let overloaded =
+            |n: NodeId| exceeds(loads.load(n) + usage_on(&usage, n), network.capacity(n));
         // First stage whose (new) instance sits on an overloaded node.
         let Some(j) = (1..=k).find(|&j| {
             let n = placement[j - 1];
@@ -173,7 +215,7 @@ pub(crate) fn repair_capacity(
                     .enumerate()
                     .any(|(i, &n)| i != j - 1 && n == v && sfc.stage(i + 1) == f);
             let extra = if already_counted { 0.0 } else { demand };
-            let load = deployed + usage.get(&v).copied().unwrap_or(0.0) + extra;
+            let load = deployed + usage_on(&usage, v) + extra;
             if exceeds(load, network.capacity(v)) {
                 continue;
             }
@@ -199,23 +241,28 @@ pub(crate) fn repair_capacity(
         };
         placement[j - 1] = v;
     }
-    // Converged or not, verify the result.
-    let usage = new_instance_usage(network, sfc, placement);
-    for (n, extra) in usage {
-        if exceeds(loads.load(n) + extra, network.capacity(n)) {
-            return Err(CoreError::Infeasible {
-                reason: format!("capacity repair failed to unload node {n}"),
-            });
-        }
+    // Converged or not, verify the result; name the lowest overloaded node.
+    let overloaded = new_instance_usage(network, sfc, placement)
+        .into_iter()
+        .filter(|&(n, extra)| exceeds(loads.load(n) + extra, network.capacity(n)))
+        .map(|(n, _)| n)
+        .min();
+    match overloaded {
+        Some(n) => Err(CoreError::Infeasible {
+            reason: format!("capacity repair failed to unload node {n}"),
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vnf::VnfCatalog;
+    use crate::vnf::{VnfCatalog, VnfId};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use sft_graph::Graph;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Line 0-1-2-3-4, all servers.
     fn line_net(capacity: f64) -> Network {
@@ -355,6 +402,221 @@ mod tests {
         let net = line_net(5.0);
         let sfc = Sfc::new(vec![VnfId(0), VnfId(0)]).unwrap();
         let usage = new_instance_usage(&net, &sfc, &[NodeId(1), NodeId(1)]);
-        assert_eq!(usage.get(&NodeId(1)), Some(&1.0)); // one instance, not two
+        assert_eq!(usage, vec![(NodeId(1), 1.0)]); // one instance, not two
+    }
+
+    /// `new_instance_usage` before it went map-free, kept as the oracle.
+    fn reference_usage(
+        network: &Network,
+        sfc: &Sfc,
+        placement: &[NodeId],
+    ) -> BTreeMap<NodeId, f64> {
+        let mut seen: BTreeSet<(VnfId, NodeId)> = BTreeSet::new();
+        let mut usage: BTreeMap<NodeId, f64> = BTreeMap::new();
+        for (j, &n) in placement.iter().enumerate() {
+            let f = sfc.stage(j + 1);
+            if !network.is_deployed(f, n) && seen.insert((f, n)) {
+                *usage.entry(n).or_insert(0.0) += network.catalog().demand(f);
+            }
+        }
+        usage
+    }
+
+    /// `repair_capacity` before it went map-free, kept as the oracle: the
+    /// per-round usage map, loads read straight off the network, and the
+    /// final check in ascending node order.
+    fn reference_repair(
+        network: &Network,
+        source: NodeId,
+        sfc: &Sfc,
+        placement: &mut [NodeId],
+    ) -> Result<(), CoreError> {
+        let k = placement.len();
+        let dist = network.dist();
+        let servers: Vec<NodeId> = network.servers().collect();
+        for _round in 0..(2 * k + 2) {
+            let usage = reference_usage(network, sfc, placement);
+            let overloaded = |n: NodeId| {
+                exceeds(
+                    network.deployed_load(n) + usage.get(&n).copied().unwrap_or(0.0),
+                    network.capacity(n),
+                )
+            };
+            let Some(j) = (1..=k).find(|&j| {
+                let n = placement[j - 1];
+                !network.is_deployed(sfc.stage(j), n) && overloaded(n)
+            }) else {
+                return Ok(());
+            };
+            let f = sfc.stage(j);
+            let demand = network.catalog().demand(f);
+            let prev = if j == 1 { source } else { placement[j - 2] };
+            let next = if j < k { Some(placement[j]) } else { None };
+            let current = placement[j - 1];
+            let mut best: Option<(f64, NodeId)> = None;
+            for &v in &servers {
+                if v == current {
+                    continue;
+                }
+                let already_counted = network.is_deployed(f, v)
+                    || placement
+                        .iter()
+                        .enumerate()
+                        .any(|(i, &n)| i != j - 1 && n == v && sfc.stage(i + 1) == f);
+                let extra = if already_counted { 0.0 } else { demand };
+                let load = network.deployed_load(v) + usage.get(&v).copied().unwrap_or(0.0) + extra;
+                if exceeds(load, network.capacity(v)) {
+                    continue;
+                }
+                let Some(d_in) = dist.distance(prev, v) else {
+                    continue;
+                };
+                let d_out = match next {
+                    Some(nx) => match dist.distance(v, nx) {
+                        Some(d) => d,
+                        None => continue,
+                    },
+                    None => 0.0,
+                };
+                let score = d_in + d_out + network.effective_setup_cost(f, v);
+                if best.is_none_or(|(b, _)| score < b) {
+                    best = Some((score, v));
+                }
+            }
+            let Some((_, v)) = best else {
+                return Err(CoreError::Infeasible {
+                    reason: format!("no feasible host for chain stage {j} ({})", sfc.stage(j)),
+                });
+            };
+            placement[j - 1] = v;
+        }
+        let usage = reference_usage(network, sfc, placement);
+        for (n, extra) in usage {
+            if exceeds(network.deployed_load(n) + extra, network.capacity(n)) {
+                return Err(CoreError::Infeasible {
+                    reason: format!("capacity repair failed to unload node {n}"),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// `chain_cost` before it went map-free, kept as the oracle.
+    fn reference_chain_cost(network: &Network, task: &MulticastTask, placement: &[NodeId]) -> f64 {
+        let dist = network.dist();
+        let mut cost = 0.0;
+        let mut prev = task.source();
+        let mut seen = BTreeSet::new();
+        for (j, &n) in placement.iter().enumerate() {
+            cost += dist.distance(prev, n).unwrap();
+            let f = task.sfc().stage(j + 1);
+            if !network.is_deployed(f, n) && seen.insert((f, n)) {
+                cost += network.setup_cost(f, n);
+            }
+            prev = n;
+        }
+        cost
+    }
+
+    /// The tight random networks of `tests/stage1_invariants.rs`: 3 to 9
+    /// nodes, integer weights and setup costs, switches, pre-deployed
+    /// instances and capacities of 1 to 3 unit instances.
+    fn tight_network(rng: &mut StdRng) -> Network {
+        const TYPES: usize = 3;
+        let n = rng.random_range(3..=9usize);
+        let mut g = Graph::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.random_range(0..2u32) == 0 {
+                    let w = f64::from(rng.random_range(0..=3u32));
+                    g.add_edge(NodeId(u), NodeId(v), w).unwrap();
+                }
+            }
+        }
+        let mut b = Network::builder(g, VnfCatalog::uniform(TYPES));
+        let mut room = vec![0u32; n];
+        for (v, slots) in room.iter_mut().enumerate() {
+            if v == 0 || rng.random_range(0..4u32) > 0 {
+                *slots = rng.random_range(1..=3u32);
+                b = b.server(NodeId(v), f64::from(*slots)).unwrap();
+            }
+        }
+        for f in 0..TYPES {
+            for (v, slots) in room.iter_mut().enumerate() {
+                let cost = f64::from(rng.random_range(0..=3u32));
+                b = b.setup_cost(VnfId(f), NodeId(v), cost).unwrap();
+                if *slots > 0 && rng.random_range(0..6u32) == 0 {
+                    *slots -= 1;
+                    b = b.deploy(VnfId(f), NodeId(v)).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// On random chains over the tight networks — placed on random
+    /// servers, so that nodes overload often — usage, capacity repair and
+    /// chain cost equal the kept map-based copies: same usage bits, same
+    /// repaired placement, same error, same cost bits.
+    #[test]
+    fn map_free_repair_and_chain_cost_match_the_reference() {
+        let mut rng = StdRng::seed_from_u64(0x9e2);
+        let (mut moved, mut failed, mut priced) = (0, 0, 0);
+        for case in 0..4000 {
+            let net = tight_network(&mut rng);
+            let loads = LoadSnapshot::new(&net);
+            let servers: Vec<NodeId> = net.servers().collect();
+            let source = NodeId(rng.random_range(0..net.node_count()));
+            let k = rng.random_range(1..=4usize);
+            let stages: Vec<VnfId> = (0..k).map(|_| VnfId(rng.random_range(0..3usize))).collect();
+            let sfc = Sfc::new(stages).unwrap();
+            let placement: Vec<NodeId> = (0..k)
+                .map(|_| servers[rng.random_range(0..servers.len())])
+                .collect();
+            let bits = |usage: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+                usage.into_iter().map(|(n, u)| (n, u.to_bits())).collect()
+            };
+            let mut usage = new_instance_usage(&net, &sfc, &placement);
+            usage.sort_by_key(|&(n, _)| n);
+            let want = reference_usage(&net, &sfc, &placement)
+                .into_iter()
+                .collect();
+            assert_eq!(bits(usage), bits(want), "case {case}");
+
+            let (mut got, mut want) = (placement.clone(), placement.clone());
+            let result = repair_capacity(&net, &loads, source, &sfc, &mut got);
+            let expected = reference_repair(&net, source, &sfc, &mut want);
+            assert_eq!(
+                format!("{result:?}"),
+                format!("{expected:?}"),
+                "case {case}"
+            );
+            assert_eq!(got, want, "case {case}");
+            moved += usize::from(got != placement);
+            failed += usize::from(result.is_err());
+
+            let mut prev = source;
+            let reachable = got.iter().all(|&n| {
+                let ok = net.dist().distance(prev, n).is_some();
+                prev = n;
+                ok
+            });
+            if result.is_ok() && reachable {
+                // Chain cost reads no destination; any node but the source will do.
+                let dest = NodeId((source.0 + 1) % net.node_count());
+                let task = MulticastTask::new(source, vec![dest], sfc.clone()).unwrap();
+                let cost = chain_cost(&net, &task, &got);
+                assert_eq!(
+                    cost.to_bits(),
+                    reference_chain_cost(&net, &task, &got).to_bits(),
+                    "case {case}"
+                );
+                priced += 1;
+            }
+        }
+        assert!(
+            moved > 500 && failed > 100 && priced > 1000,
+            "{moved} {failed} {priced}"
+        );
     }
 }

@@ -48,7 +48,7 @@ impl ModNetwork {
         for (_, f) in sfc.iter() {
             network.catalog().check(f)?;
         }
-        let servers: Vec<NodeId> = network.servers().collect();
+        let servers = network.server_list().to_vec();
         if servers.is_empty() {
             return Err(CoreError::Infeasible {
                 reason: "network has no server nodes".into(),
@@ -136,9 +136,10 @@ impl ExpandedMod {
     /// f64 additions, so placements and costs are bit-identical to the
     /// heap search over the materialized overlay.
     ///
-    /// The `|S|×|S|` server distance block is read once; a one-stage
-    /// chain never reads it, so the distance engine materializes only the
-    /// source's row.
+    /// The `|S|×|S|` server distance block comes from a per-network memo
+    /// that the first multi-stage solve on a network (or any of its clones)
+    /// fills; a one-stage chain never reads it, so the distance engine
+    /// materializes only the source's row.
     ///
     /// # Errors
     ///
@@ -154,18 +155,13 @@ impl ExpandedMod {
         } = ModNetwork::build(network, sfc)?;
         let ns = servers.len();
         let dist = network.dist();
-        let arc = |a: NodeId, b: NodeId| dist.distance(a, b).unwrap_or(f64::INFINITY);
 
         // Column 0's in-halves: the source's settled 0.0 plus its arc.
-        let mut cost: Vec<f64> = servers.iter().map(|&s| 0.0 + arc(source, s)).collect();
-        let block: Vec<f64> = if k > 1 {
-            servers
-                .iter()
-                .flat_map(|&a| servers.iter().map(move |&b| arc(a, b)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut cost: Vec<f64> = servers
+            .iter()
+            .map(|&s| 0.0 + dist.distance(source, s).unwrap_or(f64::INFINITY))
+            .collect();
+        let block: &[f64] = if k > 1 { network.server_block() } else { &[] };
         let mut pred = vec![usize::MAX; (k - 1) * ns];
         let mut next = vec![f64::INFINITY; ns];
         for (j, column) in weights.iter().enumerate() {

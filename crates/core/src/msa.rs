@@ -18,14 +18,19 @@
 //! cost are those of the exhaustive sweep ([`stage_one_candidates`]).
 //! The sweep runs on the calling thread, so one incumbent prunes every
 //! row.
+//!
+//! Every KMB tree of one sweep spans the same destinations, so the sweep
+//! builds them through one [`KmbSweep`], which reads the
+//! destination-to-destination closure distances and paths once, on the
+//! first Steiner-cache miss, and reuses them for every later root.
 
-use crate::chain::{repair_capacity, ChainSolution, LoadSnapshot};
+use crate::chain::{chain_cost, repair_capacity, ChainSolution, LoadSnapshot};
 use crate::mod_network::ExpandedMod;
 use crate::network::Network;
 use crate::task::MulticastTask;
 use crate::CoreError;
 use sft_graph::parallel::Parallelism;
-use sft_graph::{CancelToken, NodeId, SteinerCache, SteinerTree};
+use sft_graph::{CancelToken, KmbSweep, NodeId, SteinerCache, SteinerTree};
 use std::collections::BTreeMap;
 
 /// Which Steiner-tree construction stage 1 hangs off the last VNF node.
@@ -172,7 +177,7 @@ pub(crate) fn sweep(
     // Stable: equal bounds keep row order.
     rows.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
+    let mut trees = Trees::new(network, task, method, shared, cancel);
     let mut best: Option<(f64, usize, ChainSolution)> = None;
     for (bound, decoded) in rows {
         if let Some((cost, row, _)) = &best {
@@ -184,7 +189,7 @@ pub(crate) fn sweep(
             break;
         }
         let w = *decoded.placement.last().expect("chain is non-empty");
-        let Some(tree) = tree_for(network, task, method, w, &mut local, shared, cancel) else {
+        let Some(tree) = trees.get(w) else {
             continue;
         };
         let cost = decoded.chain + tree.cost;
@@ -228,39 +233,14 @@ pub fn stage_one_candidates(
     task.check_against(network)?;
     let emod = ExpandedMod::build(network, task.source(), task.sfc())?;
     let loads = LoadSnapshot::new(network);
-    let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
+    let mut trees = Trees::new(network, task, method, None, None);
     let mut out = Vec::new();
     for row in 0..emod.servers().len() {
-        if let Some(candidate) = evaluate_candidate(
-            network, task, method, &emod, &loads, &mut local, None, None, row,
-        ) {
+        if let Some(candidate) = evaluate_candidate(network, task, &emod, &loads, &mut trees, row) {
             out.push(candidate);
         }
     }
     Ok(out)
-}
-
-/// Builds the delivery Steiner tree rooted at `w` reaching every task
-/// destination (the pure computation both cache flavors memoize).
-fn build_tree(
-    network: &Network,
-    task: &MulticastTask,
-    method: SteinerMethod,
-    w: NodeId,
-    cancel: Option<&CancelToken>,
-) -> Option<SteinerTree> {
-    let mut terminals = vec![w];
-    terminals.extend_from_slice(task.destinations());
-    // `.ok()` also swallows a mid-build cancellation; that is safe — the
-    // sweep re-checks the token at its end, so a cancelled solve still
-    // returns `CoreError::Cancelled` rather than a partial winner.
-    match method {
-        SteinerMethod::Kmb => network
-            .graph()
-            .steiner_kmb_with_provider(network.dist(), &terminals, cancel)
-            .ok(),
-        SteinerMethod::Takahashi => network.graph().steiner_takahashi(&terminals).ok(),
-    }
 }
 
 /// Reads one row's chain off the MOD solution and repairs its capacity;
@@ -269,7 +249,7 @@ fn decode_row(
     network: &Network,
     task: &MulticastTask,
     emod: &ExpandedMod,
-    loads: &LoadSnapshot,
+    loads: &LoadSnapshot<'_>,
     row: usize,
 ) -> Option<Decoded> {
     let (mut placement, _) = emod.placement_for(row)?;
@@ -302,62 +282,107 @@ fn lower_bound(
     Some(bound - bound * BOUND_SLACK)
 }
 
-/// The delivery tree rooted at `w`, memoized through `shared` when a
-/// persistent cache is plugged in and through the per-solve `local` map
-/// otherwise; `None` entries record roots whose tree construction failed
-/// (e.g. disconnected from some destination).
-fn tree_for(
-    network: &Network,
-    task: &MulticastTask,
+/// The delivery trees of one sweep, each rooted at a candidate's last VNF
+/// node and reaching every task destination: memoized through `shared`
+/// when a persistent cache is plugged in and through the per-solve `local`
+/// map otherwise, and built on a miss. `None` entries record roots whose
+/// tree construction failed (e.g. disconnected from some destination).
+struct Trees<'a> {
+    network: &'a Network,
+    task: &'a MulticastTask,
     method: SteinerMethod,
-    w: NodeId,
-    local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
-    shared: Option<&SteinerCache>,
-    cancel: Option<&CancelToken>,
-) -> Option<SteinerTree> {
-    match shared {
-        Some(cache) => match cache.lookup(w, task.destinations()) {
-            Some(cached) => cached,
-            None => {
-                let built = build_tree(network, task, method, w, cancel);
-                // A failure caused by cancellation must not be recorded:
-                // the cache outlives this solve, and a later solve would
-                // wrongly read the root as infeasible. (The per-solve
-                // `local` map below has no such hazard — it dies with the
-                // cancelled sweep.)
-                if built.is_some() || !cancel.is_some_and(CancelToken::is_cancelled) {
-                    cache.store(w, task.destinations(), built.clone());
-                }
-                built
+    shared: Option<&'a SteinerCache>,
+    cancel: Option<&'a CancelToken>,
+    local: BTreeMap<NodeId, Option<SteinerTree>>,
+    /// KMB's destination-side state, made on the first build.
+    kmb: Option<KmbSweep<'a>>,
+}
+
+impl<'a> Trees<'a> {
+    fn new(
+        network: &'a Network,
+        task: &'a MulticastTask,
+        method: SteinerMethod,
+        shared: Option<&'a SteinerCache>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        Trees {
+            network,
+            task,
+            method,
+            shared,
+            cancel,
+            local: BTreeMap::new(),
+            kmb: None,
+        }
+    }
+
+    /// The delivery tree rooted at `w`.
+    fn get(&mut self, w: NodeId) -> Option<SteinerTree> {
+        let dests = self.task.destinations();
+        if let Some(cache) = self.shared {
+            if let Some(cached) = cache.lookup(w, dests) {
+                return cached;
             }
-        },
-        None => local
-            .entry(w)
-            .or_insert_with(|| build_tree(network, task, method, w, cancel))
-            .clone(),
+            let built = self.build(w);
+            // A failure caused by cancellation must not be recorded: the
+            // cache outlives this solve, and a later solve would wrongly
+            // read the root as infeasible. (The per-solve `local` map
+            // below has no such hazard — it dies with the cancelled
+            // sweep.)
+            if built.is_some() || !self.cancel.is_some_and(CancelToken::is_cancelled) {
+                cache.store(w, dests, built.clone());
+            }
+            return built;
+        }
+        if let Some(known) = self.local.get(&w) {
+            return known.clone();
+        }
+        let built = self.build(w);
+        self.local.insert(w, built.clone());
+        built
+    }
+
+    /// Builds the tree rooted at `w` (the pure computation both memo
+    /// flavors keep). `.ok()` also swallows a mid-build cancellation; that
+    /// is safe — the sweep re-checks the token at its end, so a cancelled
+    /// solve still returns `CoreError::Cancelled` rather than a partial
+    /// winner.
+    fn build(&mut self, w: NodeId) -> Option<SteinerTree> {
+        let (graph, dests) = (self.network.graph(), self.task.destinations());
+        match self.method {
+            SteinerMethod::Kmb => {
+                let dist = self.network.dist();
+                let kmb = self
+                    .kmb
+                    .get_or_insert_with(|| KmbSweep::new(graph, dist, dests));
+                kmb.tree(w, self.cancel).ok()
+            }
+            SteinerMethod::Takahashi => {
+                let mut terminals = vec![w];
+                terminals.extend_from_slice(dests);
+                graph.steiner_takahashi(&terminals).ok()
+            }
+        }
     }
 }
 
 /// Evaluates one last-VNF candidate row without pruning: chain readout,
 /// capacity repair, Steiner tree, closed-form cost. Returns `None` when
 /// the row yields no feasible embedding.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_candidate(
     network: &Network,
     task: &MulticastTask,
-    method: SteinerMethod,
     emod: &ExpandedMod,
-    loads: &LoadSnapshot,
-    local: &mut BTreeMap<NodeId, Option<SteinerTree>>,
-    shared: Option<&SteinerCache>,
-    cancel: Option<&CancelToken>,
+    loads: &LoadSnapshot<'_>,
+    trees: &mut Trees<'_>,
     row: usize,
 ) -> Option<(f64, ChainSolution)> {
     let Decoded {
         placement, chain, ..
     } = decode_row(network, task, emod, loads, row)?;
     let w = *placement.last().expect("chain is non-empty");
-    let tree = tree_for(network, task, method, w, local, shared, cancel)?;
+    let tree = trees.get(w)?;
     // Stage-1 candidate cost has a closed form: every destination
     // shares the chain segments, so per-segment dedup leaves exactly
     // "chain path costs + deduped setups + Steiner tree cost".
@@ -368,27 +393,6 @@ fn evaluate_candidate(
             steiner_edges: tree.edges,
         },
     ))
-}
-
-/// Cost of an embedded chain alone: inter-stage shortest-path costs plus
-/// setup costs of new instances, deduplicated by `(type, node)` — the
-/// closed form of the canonical cost restricted to segments `0..k`.
-fn chain_cost(network: &Network, task: &MulticastTask, placement: &[NodeId]) -> f64 {
-    let dist = network.dist();
-    let mut cost = 0.0;
-    let mut prev = task.source();
-    let mut seen = std::collections::BTreeSet::new();
-    for (j, &n) in placement.iter().enumerate() {
-        cost += dist
-            .distance(prev, n)
-            .expect("chain nodes reachable by construction");
-        let f = task.sfc().stage(j + 1);
-        if !network.is_deployed(f, n) && seen.insert((f, n)) {
-            cost += network.setup_cost(f, n);
-        }
-        prev = n;
-    }
-    cost
 }
 
 #[cfg(test)]
@@ -596,33 +600,18 @@ mod tests {
         assert_eq!(fresh.dist().rows_materialized(), 0);
         let token = CancelToken::new();
         token.cancel();
-        let mut local: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
-        let got = evaluate_candidate(
+        let mut cancelled = Trees::new(
             &fresh,
             &task,
             SteinerMethod::Kmb,
-            &emod,
-            &loads,
-            &mut local,
             Some(&cache),
             Some(&token),
-            0,
         );
+        let got = evaluate_candidate(&fresh, &task, &emod, &loads, &mut cancelled, 0);
         assert!(got.is_none(), "cancelled row yields no candidate");
         assert_eq!(cache.len(), 0, "cancelled failure must not be cached");
-        let mut warm: BTreeMap<NodeId, Option<SteinerTree>> = BTreeMap::new();
-        assert!(evaluate_candidate(
-            &fresh,
-            &task,
-            SteinerMethod::Kmb,
-            &emod,
-            &loads,
-            &mut warm,
-            None,
-            None,
-            0,
-        )
-        .is_some());
+        let mut warm = Trees::new(&fresh, &task, SteinerMethod::Kmb, None, None);
+        assert!(evaluate_candidate(&fresh, &task, &emod, &loads, &mut warm, 0).is_some());
         // A clean solve over the same cache then succeeds normally.
         let chain = stage_one_with_cache_cancellable(
             &net,
@@ -693,17 +682,15 @@ mod tests {
             let emod = ExpandedMod::build(&net, task.source(), task.sfc()).unwrap();
             let loads = LoadSnapshot::new(&net);
             for method in [SteinerMethod::Kmb, SteinerMethod::Takahashi] {
-                let mut local = BTreeMap::new();
+                let mut trees = Trees::new(&net, &task, method, None, None);
                 for row in 0..emod.servers().len() {
                     let Some(decoded) = decode_row(&net, &task, &emod, &loads, row) else {
                         continue;
                     };
                     let w = *decoded.placement.last().unwrap();
                     let bound = lower_bound(&net, &task, decoded.chain, w, None).unwrap();
-                    let (cost, _) = evaluate_candidate(
-                        &net, &task, method, &emod, &loads, &mut local, None, None, row,
-                    )
-                    .unwrap();
+                    let (cost, _) =
+                        evaluate_candidate(&net, &task, &emod, &loads, &mut trees, row).unwrap();
                     assert!(bound <= cost, "case {case} row {row}: {bound} > {cost}");
                     rows += 1;
                     tight += usize::from(cost - bound <= 1e-6 * cost.max(1.0));

@@ -12,7 +12,7 @@ use crate::vnf::{VnfCatalog, VnfId};
 use crate::CoreError;
 use sft_graph::numeric::exceeds;
 use sft_graph::{EdgeId, Graph, LazyDistances, NodeId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The exact state mutation committing one embedding applies: the set of
 /// `(VNF, node)` pairs that need a **new** instance (`deploys`) plus the
@@ -168,10 +168,33 @@ pub struct Network {
     /// usage snaps back to exactly 0.0, so a fully drained link always
     /// reports its full capacity regardless of float rounding.
     edge_sessions: Vec<u32>,
-    /// The delay repair's per-(rung, server) trees. Like `dist`, it reads
-    /// only the graph, so clones share it and a bandwidth view (a
+    /// Memos indexed by server. Like `dist`, they read only the graph and
+    /// the server set, so clones share them and a bandwidth view (a
     /// different graph) gets its own.
-    reroute: Arc<RerouteTrees>,
+    memo: Arc<ServerMemo>,
+}
+
+/// What every solve on one graph can share, indexed by server and filled
+/// on first use: the server-to-server cost distances MSA's MOD network
+/// reads, and the delay repair's per-(rung, server) trees.
+#[derive(Debug)]
+struct ServerMemo {
+    /// Server nodes in index order.
+    servers: Vec<NodeId>,
+    /// `block[a * |S| + b]`: the cost distance from `servers[a]` to
+    /// `servers[b]`, `INFINITY` when unreachable.
+    block: OnceLock<Box<[f64]>>,
+    reroute: RerouteTrees,
+}
+
+impl ServerMemo {
+    fn new(servers: Vec<NodeId>) -> Arc<ServerMemo> {
+        Arc::new(ServerMemo {
+            reroute: RerouteTrees::new(servers.len()),
+            servers,
+            block: OnceLock::new(),
+        })
+    }
 }
 
 impl Network {
@@ -207,7 +230,31 @@ impl Network {
 
     /// The delay repair's memoized per-(rung, server) trees.
     pub(crate) fn reroute_trees(&self) -> &RerouteTrees {
-        &self.reroute
+        &self.memo.reroute
+    }
+
+    /// The server nodes, in index order ([`Network::servers`], collected
+    /// once per network).
+    pub(crate) fn server_list(&self) -> &[NodeId] {
+        &self.memo.servers
+    }
+
+    /// The cost distance between every ordered pair of servers, row-major
+    /// over [`Network::server_list`] (`INFINITY` when unreachable): the
+    /// arcs between columns of the MOD network. The first call reads every
+    /// server's distance row; clones share the result.
+    pub(crate) fn server_block(&self) -> &[f64] {
+        self.memo.block.get_or_init(|| {
+            let servers = &self.memo.servers;
+            servers
+                .iter()
+                .flat_map(|&a| {
+                    servers
+                        .iter()
+                        .map(move |&b| self.dist.distance(a, b).unwrap_or(f64::INFINITY))
+                })
+                .collect()
+        })
     }
 
     /// The VNF catalog.
@@ -375,7 +422,7 @@ impl Network {
             deployed: self.deployed.clone(),
             edge_used: vec![0.0; edge_count],
             edge_sessions: vec![0; edge_count],
-            reroute: Arc::new(RerouteTrees::new(self.servers().collect())),
+            memo: ServerMemo::new(self.server_list().to_vec()),
         }))
     }
 
@@ -965,7 +1012,7 @@ impl NetworkBuilder {
             .map(NodeId)
             .collect();
         Ok(Network {
-            reroute: Arc::new(RerouteTrees::new(servers)),
+            memo: ServerMemo::new(servers),
             dist: Arc::new(LazyDistances::new(&self.graph)),
             graph: Arc::new(self.graph),
             servers: self.servers,

@@ -19,7 +19,7 @@
 //! 4. Stop at the first stage adding no instance (Algorithm 3's `break`).
 
 use crate::chain::ChainSolution;
-use crate::cost::delivery_cost;
+use crate::cost::{delivery_cost, CostBreakdown};
 use crate::embedding::{DestinationRoute, Embedding};
 use crate::network::Network;
 use crate::task::MulticastTask;
@@ -33,8 +33,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct OpaResult {
     /// The optimized (SFT-shaped) embedding.
     pub embedding: Embedding,
-    /// Final delivery cost.
-    pub cost: f64,
+    /// Cost breakdown of `embedding`: [`delivery_cost`] of it, bit for
+    /// bit.
+    pub cost: CostBreakdown,
     /// Cost of the stage-1 input it improved upon.
     pub initial_cost: f64,
     /// Branch instances added, as `(stage, node)` pairs.
@@ -161,9 +162,9 @@ pub fn optimize_with(
     };
 
     let initial_embedding = build(&branches)?;
-    let initial_cost = delivery_cost(network, task, &initial_embedding)?.total();
+    let mut best = delivery_cost(network, task, &initial_embedding)?;
+    let initial_cost = best.total();
     let mut best_embedding = initial_embedding;
-    let mut best_cost = initial_cost;
     let mut added: Vec<(usize, NodeId)> = Vec::new();
 
     let servers: Vec<NodeId> = network.servers().collect();
@@ -228,9 +229,9 @@ pub fn optimize_with(
             // Global acceptance check on the canonical cost.
             branches[bi].instances.push((j, x));
             let candidate = build(&branches)?;
-            let cost = delivery_cost(network, task, &candidate)?.total();
-            if cost < best_cost - EPS {
-                best_cost = cost;
+            let cost = delivery_cost(network, task, &candidate)?;
+            if cost.total() < best.total() - EPS {
+                best = cost;
                 best_embedding = candidate;
                 used.insert((f, x));
                 added.push((j, x));
@@ -247,7 +248,7 @@ pub fn optimize_with(
 
     Ok(OpaResult {
         embedding: best_embedding,
-        cost: best_cost,
+        cost: best,
         initial_cost,
         added_instances: added,
     })
@@ -392,11 +393,11 @@ mod tests {
         let base = chain.to_embedding(&net, &task).unwrap();
         let base_cost = delivery_cost(&net, &task, &base).unwrap().total();
         let out = optimize(&net, &task, &chain).unwrap();
-        assert!(out.cost <= base_cost + 1e-9);
+        assert!(out.cost.total() <= base_cost + 1e-9);
         assert!((out.initial_cost - base_cost).abs() < 1e-9);
         assert!(is_valid(&net, &task, &out.embedding));
         let recomputed = delivery_cost(&net, &task, &out.embedding).unwrap().total();
-        assert!((recomputed - out.cost).abs() < 1e-9);
+        assert!((recomputed - out.cost.total()).abs() < 1e-9);
     }
 
     /// A Fig.-6-style instance where stage 1 is pinned (deployed VNFs) and
@@ -447,7 +448,11 @@ mod tests {
         // the cost-8 edge: 1 + (7 + 1 + 1) + 1 + setup 2 = 13.
         assert_eq!(out.added_instances.len(), 1);
         assert_eq!(out.added_instances[0].0, 2, "replication at stage 2");
-        assert!((out.cost - 13.0).abs() < 1e-9, "cost {}", out.cost);
+        assert!(
+            (out.cost.total() - 13.0).abs() < 1e-9,
+            "cost {:?}",
+            out.cost
+        );
         assert!(is_valid(&net, &task, &out.embedding));
     }
 
@@ -508,7 +513,7 @@ mod tests {
         let chain = crate::msa::stage_one(&net, &task).unwrap();
         let out = optimize(&net, &task, &chain).unwrap();
         assert!(out.added_instances.is_empty());
-        assert!((out.cost - out.initial_cost).abs() < 1e-12);
+        assert!((out.cost.total() - out.initial_cost).abs() < 1e-12);
     }
 
     /// Two-level replication: a side corridor S-A-P-Q-d2 lets OPA first
@@ -571,7 +576,7 @@ mod tests {
             "{}",
             out.initial_cost
         );
-        assert!((out.cost - 23.0).abs() < 1e-9, "{}", out.cost);
+        assert!((out.cost.total() - 23.0).abs() < 1e-9, "{:?}", out.cost);
         let stages: Vec<usize> = out.added_instances.iter().map(|&(j, _)| j).collect();
         assert_eq!(stages, vec![3, 2], "inverted-order two-level replication");
         assert!(is_valid(&net, &task, &out.embedding));
@@ -599,7 +604,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(permissive.cost <= strict.cost + 1e-9);
+        assert!(permissive.cost.total() <= strict.cost.total() + 1e-9);
         assert!(is_valid(&net, &task, &permissive.embedding));
     }
 

@@ -58,7 +58,7 @@ pub fn stage_one<R: Rng + ?Sized>(
                         crate::vnf::Sfc::new(sfc.stages()[..j].to_vec()).expect("non-empty prefix");
                     new_instance_usage(network, &prefix, &trial)
                         .iter()
-                        .all(|(&n, &u)| network.deployed_load(n) + u <= network.capacity(n) + 1e-9)
+                        .all(|&(n, u)| network.deployed_load(n) + u <= network.capacity(n) + 1e-9)
                 })
                 .collect();
             if feasible.is_empty() {

@@ -78,7 +78,7 @@ pub fn stage_one(network: &Network, task: &MulticastTask) -> Result<ChainSolutio
                     let usage = new_instance_usage(network, &prefix_sfc, &trial);
                     let fits = usage
                         .iter()
-                        .all(|(&n, &u)| network.deployed_load(n) + u <= network.capacity(n) + 1e-9);
+                        .all(|&(n, u)| network.deployed_load(n) + u <= network.capacity(n) + 1e-9);
                     if !fits {
                         continue;
                     }

@@ -55,8 +55,13 @@ pub fn opa_gain(effort: Effort) -> Result<FigureData, ExperimentError> {
             let out = opa::optimize(&s.network, &s.task, &chain)?;
             let opa_ms = t1.elapsed().as_secs_f64() * 1e3;
             fig.record(row, "SFC (stage1)", sfc_cost, stage1_ms)?;
-            fig.record(row, "SFT (stage1+OPA)", out.cost, stage1_ms + opa_ms)?;
-            if out.cost < sfc_cost - 1e-9 {
+            fig.record(
+                row,
+                "SFT (stage1+OPA)",
+                out.cost.total(),
+                stage1_ms + opa_ms,
+            )?;
+            if out.cost.total() < sfc_cost - 1e-9 {
                 improved += 1;
             }
         }
@@ -185,12 +190,12 @@ pub fn dependence_rule(effort: Effort) -> Result<FigureData, ExperimentError> {
             },
         )?;
         let perm_ms = t1.elapsed().as_secs_f64() * 1e3;
-        fig.record(row, "OPA (paper)", strict.cost, strict_ms)?;
-        fig.record(row, "OPA (incl. dependent)", perm.cost, perm_ms)?;
-        if strict.cost < strict.initial_cost - 1e-9 {
+        fig.record(row, "OPA (paper)", strict.cost.total(), strict_ms)?;
+        fig.record(row, "OPA (incl. dependent)", perm.cost.total(), perm_ms)?;
+        if strict.cost.total() < strict.initial_cost - 1e-9 {
             fired_strict += 1;
         }
-        if perm.cost < perm.initial_cost - 1e-9 {
+        if perm.cost.total() < perm.initial_cost - 1e-9 {
             fired_perm += 1;
         }
     }

@@ -291,7 +291,17 @@ impl SteinerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
+    use crate::{Graph, LazyDistances};
+
+    /// The engine's KMB tree over `terminals` on warm rows, `None` when
+    /// construction fails.
+    fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
+        let dist = LazyDistances::new(g);
+        for &t in terminals {
+            dist.distance(t, t);
+        }
+        g.steiner_kmb_with_provider(&dist, terminals, None).ok()
+    }
 
     fn diamond() -> Graph {
         let mut g = Graph::new(4);
@@ -307,7 +317,7 @@ mod tests {
         let g = diamond();
         let cache = SteinerCache::new();
         let terminals = [NodeId(3)];
-        let build = || g.steiner_kmb(&[NodeId(0), NodeId(3)]).ok();
+        let build = || kmb(&g, &[NodeId(0), NodeId(3)]);
         let first = cache
             .get_or_insert_with(NodeId(0), &terminals, build)
             .unwrap();
@@ -327,7 +337,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         // Node 2 is disconnected: tree construction fails.
         let cache = SteinerCache::new();
-        let build = || g.steiner_kmb(&[NodeId(0), NodeId(2)]).ok();
+        let build = || kmb(&g, &[NodeId(0), NodeId(2)]);
         assert!(cache
             .get_or_insert_with(NodeId(0), &[NodeId(2)], build)
             .is_none());
@@ -342,14 +352,10 @@ mod tests {
         let g = diamond();
         let cache = SteinerCache::new();
         let t1 = cache
-            .get_or_insert_with(NodeId(0), &[NodeId(3)], || {
-                g.steiner_kmb(&[NodeId(0), NodeId(3)]).ok()
-            })
+            .get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]))
             .unwrap();
         let t2 = cache
-            .get_or_insert_with(NodeId(1), &[NodeId(2)], || {
-                g.steiner_kmb(&[NodeId(1), NodeId(2)]).ok()
-            })
+            .get_or_insert_with(NodeId(1), &[NodeId(2)], || kmb(&g, &[NodeId(1), NodeId(2)]))
             .unwrap();
         assert_eq!(cache.len(), 2);
         assert_ne!(t1.edges, t2.edges);
@@ -359,9 +365,7 @@ mod tests {
     fn invalidate_clears_and_bumps_epoch() {
         let g = diamond();
         let cache = SteinerCache::new();
-        cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || {
-            g.steiner_kmb(&[NodeId(0), NodeId(3)]).ok()
-        });
+        cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]));
         assert_eq!(cache.len(), 1);
         cache.invalidate();
         assert!(cache.is_empty());
@@ -372,7 +376,7 @@ mod tests {
     fn bounded_cache_evicts_at_capacity() {
         let g = diamond();
         let cache = SteinerCache::bounded(2);
-        let build = |a: usize, b: usize| g.steiner_kmb(&[NodeId(a), NodeId(b)]).ok();
+        let build = |a: usize, b: usize| kmb(&g, &[NodeId(a), NodeId(b)]);
         cache.store(NodeId(0), &[NodeId(1)], build(0, 1));
         cache.store(NodeId(0), &[NodeId(2)], build(0, 2));
         assert_eq!(cache.len(), 2);
@@ -389,7 +393,7 @@ mod tests {
     fn clock_second_chance_protects_touched_entries() {
         let g = diamond();
         let cache = SteinerCache::bounded(2);
-        let build = |a: usize, b: usize| g.steiner_kmb(&[NodeId(a), NodeId(b)]).ok();
+        let build = |a: usize, b: usize| kmb(&g, &[NodeId(a), NodeId(b)]);
         cache.store(NodeId(0), &[NodeId(1)], build(0, 1));
         cache.store(NodeId(0), &[NodeId(2)], build(0, 2));
         // One full hand sweep clears both reference bits, then evicts the
@@ -413,9 +417,8 @@ mod tests {
     fn zero_capacity_caches_nothing() {
         let g = diamond();
         let cache = SteinerCache::bounded(0);
-        let t = cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || {
-            g.steiner_kmb(&[NodeId(0), NodeId(3)]).ok()
-        });
+        let t =
+            cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]));
         assert!(t.is_some(), "build result still returned");
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 0);
@@ -430,11 +433,7 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 if a != b {
-                    cache.store(
-                        NodeId(a),
-                        &[NodeId(b)],
-                        g.steiner_kmb(&[NodeId(a), NodeId(b)]).ok(),
-                    );
+                    cache.store(NodeId(a), &[NodeId(b)], kmb(&g, &[NodeId(a), NodeId(b)]));
                 }
             }
         }
@@ -446,7 +445,7 @@ mod tests {
     fn bounded_cache_invalidate_resets_the_ring() {
         let g = diamond();
         let cache = SteinerCache::bounded(2);
-        let build = |a: usize, b: usize| g.steiner_kmb(&[NodeId(a), NodeId(b)]).ok();
+        let build = |a: usize, b: usize| kmb(&g, &[NodeId(a), NodeId(b)]);
         cache.store(NodeId(0), &[NodeId(1)], build(0, 1));
         cache.store(NodeId(0), &[NodeId(2)], build(0, 2));
         cache.store(NodeId(0), &[NodeId(3)], build(0, 3));
@@ -500,7 +499,7 @@ mod tests {
                     for _ in 0..10 {
                         let t = cache
                             .get_or_insert_with(NodeId(0), &[NodeId(3)], || {
-                                g.steiner_kmb(&[NodeId(0), NodeId(3)]).ok()
+                                kmb(&g, &[NodeId(0), NodeId(3)])
                             })
                             .unwrap();
                         assert!((t.cost - 2.0).abs() < 1e-12);

@@ -68,6 +68,6 @@ pub use graph::{EdgeId, Graph, NodeId};
 pub use numeric::{approx_eq, approx_le, EPS};
 pub use parallel::Parallelism;
 pub use provider::LazyDistances;
-pub use steiner::SteinerTree;
+pub use steiner::{KmbSweep, SteinerTree};
 pub use tree::RootedTree;
 pub use union_find::UnionFind;

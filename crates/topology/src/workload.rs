@@ -469,7 +469,7 @@ mod tests {
                 &s.task,
                 &out.embedding
             ));
-            if out.cost < out.initial_cost - 1e-9 {
+            if out.cost.total() < out.initial_cost - 1e-9 {
                 fired += 1;
             }
         }

@@ -12,6 +12,8 @@
 //! 4. The bound-and-prune sweep returns the exhaustive sweep's lowest-row
 //!    minimum — placement, Steiner edges and cost bits — with and without
 //!    a shared Steiner cache, cold or warm.
+//! 5. The memoized server block and KMB closure read no distance row
+//!    early: a cold start fills the rows it filled before them.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -20,8 +22,8 @@ use sft::core::msa::{
     stage_one_cancellable, stage_one_candidates, stage_one_with_cache_cancellable, SteinerMethod,
 };
 use sft::core::{
-    delivery_cost, ChainSolution, CoreError, MulticastTask, Network, Parallelism, Sfc, VnfCatalog,
-    VnfId,
+    delivery_cost, solve, ChainSolution, CoreError, MulticastTask, Network, Parallelism, Sfc,
+    SolveOptions, VnfCatalog, VnfId,
 };
 use sft::graph::{Graph, NodeId, SteinerCache};
 use sft::topology::{generate, ScenarioConfig};
@@ -396,4 +398,81 @@ fn pruned_sweep_returns_the_exhaustive_lowest_row_minimum() {
         cold_misses * 10 < candidates_seen * 9,
         "{cold_misses} cold trees for {candidates_seen} candidates"
     );
+}
+
+/// Distance rows resident after each of [`cold_start_rows`]'s solves,
+/// recorded on the code that re-read the server block and the KMB closure
+/// on every solve and tree.
+const COLD_START_ROWS: [u64; 40] = [
+    83, 110, 166, 196, 221, 232, 249, 261, 268, 277, 281, 287, 289, 293, 296, 305, 310, 324, 324,
+    329, 331, 336, 341, 347, 349, 350, 353, 353, 357, 359, 359, 361, 363, 363, 364, 364, 367, 368,
+    369, 370,
+];
+
+/// A lazy_delay_churn-shaped cold start: a fresh 400-node Waxman WAN with
+/// latency 2 on every link, 32 stride-spaced servers of capacity 3, and 40
+/// delay-budgeted tasks (4 destinations, 1 to 3 stages) solved in turn
+/// with a shared Steiner cache, committing each answer. Returns the
+/// resident row count after every solve.
+fn cold_start_rows() -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(0x3c0);
+    let n = 400;
+    let beta = 0.4;
+    let alpha = (2.0 * (n as f64).ln() / (4.0 * std::f64::consts::PI * beta * n as f64)).sqrt();
+    let mut graph = sft::graph::generate::waxman(n, alpha, beta, 100.0, &mut rng)
+        .unwrap()
+        .graph;
+    for e in graph.edge_ids().collect::<Vec<_>>() {
+        graph.set_edge_latency(e, Some(2.0)).unwrap();
+    }
+    let mut b = Network::builder(graph, VnfCatalog::uniform(3));
+    for i in 0..32 {
+        b = b.server(NodeId(i * (n / 32)), 3.0).unwrap();
+    }
+    let mut network = b.uniform_setup_cost(1.0).unwrap().build().unwrap();
+    let cache = SteinerCache::new();
+    let options = SolveOptions {
+        cache: Some(&cache),
+        ..SolveOptions::default()
+    };
+    assert_eq!(network.dist().rows_materialized(), 0);
+    let mut rows = Vec::new();
+    for _ in 0..40 {
+        let source = NodeId(rng.random_range(0..n));
+        let mut dests = Vec::new();
+        while dests.len() < 4 {
+            let d = NodeId(rng.random_range(0..n));
+            if d != source && !dests.contains(&d) {
+                dests.push(d);
+            }
+        }
+        // The first task has one stage, so it must not fill the server
+        // block; later chains have one to three.
+        let k = if rows.is_empty() {
+            1
+        } else {
+            rng.random_range(1..=3usize)
+        };
+        let sfc = Sfc::new((0..k).map(VnfId).collect::<Vec<_>>()).unwrap();
+        let budget = 15.0 + 15.0 * rng.random::<f64>();
+        let task = MulticastTask::new(source, dests, sfc)
+            .unwrap()
+            .with_delay_budget(budget)
+            .unwrap();
+        if let Ok(result) = solve(&network, &task, &options) {
+            let delta = network.commit_delta(&task, &result.embedding);
+            network.apply_delta(&delta).unwrap();
+        }
+        rows.push(network.dist().rows_materialized());
+    }
+    rows
+}
+
+/// A fresh network's first solves fill exactly the rows they filled before
+/// the server block and the KMB closure were memoized: neither memo reads
+/// a row early, so a cold start (lazy_delay_churn's timed window) does the
+/// same row work.
+#[test]
+fn first_solves_fill_the_rows_they_filled_before_the_memos() {
+    assert_eq!(cold_start_rows(), COLD_START_ROWS);
 }

@@ -6,7 +6,7 @@
 //! groups (persistent cache). This bench serves the same 20-task stream
 //!
 //! * `oneshot`  — a fresh `solve` per task, no shared cache;
-//! * `batch_seq` — `EmbedService` in Independent mode, 1 worker thread;
+//! * `batch_seq` — `EmbedService::submit_batch` on 1 worker thread;
 //! * `batch_auto` — the same with the auto thread count;
 //!
 //! and writes `BENCH_service.json` at the workspace root with the median
@@ -15,7 +15,7 @@
 use criterion::{criterion_group, Criterion};
 use sft_core::{solve, MulticastTask, Network, SolveOptions, Strategy};
 use sft_graph::Parallelism;
-use sft_service::{BatchMode, EmbedService};
+use sft_service::EmbedService;
 use sft_topology::{palmetto, workload, ScenarioConfig};
 use std::hint::black_box;
 use std::io::Write;
@@ -60,7 +60,7 @@ fn bench_service_batch(c: &mut Criterion) {
     });
     group.bench_function("batch_seq", |b| {
         b.iter(|| {
-            let mut svc = EmbedService::new(
+            let svc = EmbedService::new(
                 network.clone(),
                 Strategy::Msa,
                 SolveOptions {
@@ -69,13 +69,13 @@ fn bench_service_batch(c: &mut Criterion) {
                 },
             )
             .unwrap();
-            black_box(svc.submit_batch(&tasks, BatchMode::Independent));
+            black_box(svc.submit_batch(&tasks));
         })
     });
     let auto = Parallelism::auto();
     group.bench_function(format!("batch_auto_{}", auto.threads()).as_str(), |b| {
         b.iter(|| {
-            let mut svc = EmbedService::new(
+            let svc = EmbedService::new(
                 network.clone(),
                 Strategy::Msa,
                 SolveOptions {
@@ -84,7 +84,7 @@ fn bench_service_batch(c: &mut Criterion) {
                 },
             )
             .unwrap();
-            black_box(svc.submit_batch(&tasks, BatchMode::Independent));
+            black_box(svc.submit_batch(&tasks));
         })
     });
     group.finish();
@@ -111,8 +111,8 @@ fn write_report(c: &Criterion) {
     // The hit rate is a property of the stream, not of the timing run:
     // measure it once on a fresh service.
     let (network, tasks) = shared_workload();
-    let mut svc = EmbedService::new(network, Strategy::Msa, SolveOptions::default()).unwrap();
-    svc.submit_batch(&tasks, BatchMode::Independent);
+    let svc = EmbedService::new(network, Strategy::Msa, SolveOptions::default()).unwrap();
+    svc.submit_batch(&tasks);
     let stats = svc.stats();
     let json = format!(
         "{{\n  \"bench\": \"service_batch_vs_oneshot\",\n  \"workload\": {{ \"topology\": \"palmetto\", \"stream_len\": {STREAM_LEN}, \"distinct_groups\": {DISTINCT_GROUPS}, \"dest_ratio\": 0.2, \"sfc_len\": 5 }},\n  \"host_cores\": {cores},\n  \"oneshot_median_ms\": {oneshot_ms:.3},\n  \"batch_sequential_median_ms\": {seq_ms:.3},\n  \"batch_parallel_threads\": {threads},\n  \"batch_parallel_median_ms\": {auto_ms:.3},\n  \"speedup_batch_seq_vs_oneshot\": {:.3},\n  \"speedup_batch_parallel_vs_oneshot\": {:.3},\n  \"steiner_cache_hit_rate\": {:.3},\n  \"note\": \"batch results are bit-identical to the one-shot solves; the gain is the shared Steiner cache plus (for the parallel row) task-level fan-out, bounded by host_cores\"\n}}\n",

@@ -9,7 +9,10 @@
 //! `BENCH_scale.json` at the workspace root recording, per size, the
 //! median quote latency, the engine's resident/peak row counts and row
 //! misses, and the bytes those rows hold (12 per node per row), so the
-//! "O(rows used), not O(n^2)" claim is tied to measured numbers.
+//! "O(rows used), not O(n^2)" claim is tied to measured numbers. The
+//! report also records the host's cores and the git revision measured
+//! (`-dirty` when the tree had uncommitted changes), so medians from
+//! different hosts or revisions are not compared blind.
 
 use criterion::Criterion;
 use rand::rngs::StdRng;
@@ -24,9 +27,9 @@ use std::io::Write;
 /// engine's working set independent of `n`.
 const SERVERS: usize = 32;
 
-/// Substrate sizes measured for the committed report. `cargo test` runs
-/// this binary with `--test`, where one small size keeps the smoke run
-/// cheap.
+/// Substrate sizes measured for the committed report. Under `--test`
+/// (`cargo bench --bench substrate_scale -- --test`, as CI runs it) one
+/// small size keeps the smoke run cheap.
 fn sizes(test_mode: bool) -> &'static [usize] {
     if test_mode {
         &[300]
@@ -112,6 +115,20 @@ fn bench_quote_scaling(c: &mut Criterion) -> Vec<ScalePoint> {
     points
 }
 
+/// The short git revision of the measured tree, `unknown` without git.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn write_report(c: &Criterion, points: &[ScalePoint]) {
     let mut entries = Vec::new();
     for p in points {
@@ -136,8 +153,10 @@ fn write_report(c: &Criterion, points: &[ScalePoint]) {
     if entries.is_empty() {
         return;
     }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let revision = git_revision();
     let json = format!(
-        "{{\n  \"bench\": \"substrate_scale_quote\",\n  \"provider\": \"lazy\",\n  \"workload\": {{ \"topology\": \"waxman (beta 0.4, degree ~2 ln n)\", \"seed\": 42, \"sfc_len\": 3, \"dests\": 4 }},\n  \"sizes\": [\n{}\n  ],\n  \"note\": \"rows_peak counts per-source Dijkstra rows ever materialized; a dense matrix would need `nodes` rows (n^2 doubles), so rows_peak << nodes is the scaling claim. row_bytes is the memory the resident rows hold: 12 bytes per node per row (an 8-byte distance and a 4-byte first hop)\"\n}}\n",
+        "{{\n  \"bench\": \"substrate_scale_quote\",\n  \"host_cores\": {cores},\n  \"revision\": \"{revision}\",\n  \"workload\": {{ \"topology\": \"waxman (beta 0.4, degree ~2 ln n)\", \"seed\": 42, \"sfc_len\": 3, \"dests\": 4 }},\n  \"sizes\": [\n{}\n  ],\n  \"note\": \"rows_peak counts per-source Dijkstra rows ever materialized; a dense matrix would need `nodes` rows (n^2 doubles), so rows_peak << nodes is the scaling claim. row_bytes is the memory the resident rows hold: 12 bytes per node per row (an 8-byte distance and a 4-byte first hop)\"\n}}\n",
         entries.join(",\n")
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -85,9 +85,10 @@ SERVICE FLAGS (batch, serve):
 BATCH FLAGS (batch):
   --tasks <file.jsonl>  the task stream to solve (required)
   --mode <sequential|independent>
-                        sequential = solve-and-commit each task in
-                        arrival order; independent = fan dry-run solves
-                        across threads (default sequential)
+                        sequential = answer each line in arrival order
+                        as stdin `sft serve` does (commits by default,
+                        release lines served); independent = fan dry-run
+                        solves across threads (default sequential)
   --threads <n>         worker threads for --mode independent; 0 = all
                         cores (default). Results are identical for every
                         value: one solve always runs on one thread (the
@@ -100,9 +101,9 @@ SERVE FLAGS (serve):
   --workers <n>         (--listen) worker threads (default 4)
   --queue-bound <n>     (--listen) pending-request bound before new work
                         is rejected as `overloaded` (default 128)
-  --deadline-ms <ms>    (--listen) default per-request deadline; requests
-                        still unanswered when it expires are rejected
-                        as `deadline_exceeded` (default none)
+  --deadline-ms <ms>    default per-request deadline; requests still
+                        unanswered when it expires are rejected as
+                        `deadline_exceeded` (default none)
   --default-mode <quote|commit>
                         solve semantics for requests without a `mode`
                         field: quote = dry-run against the frozen

@@ -12,9 +12,7 @@ use sft_core::{
 use sft_graph::{LazyDistances, NodeId};
 use sft_lp::{BackendChoice, MipConfig};
 use sft_service::protocol::{self, EmbedResponse, Request, RequestMode};
-use sft_service::{
-    AdmissionConfig, BatchMode, CapacityLedger, EmbedService, ServerConfig, ServiceError,
-};
+use sft_service::{AdmissionConfig, EmbedService, ServerConfig, ServerHandle, ServiceError};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as IoWrite};
 use std::time::{Duration, Instant};
@@ -327,12 +325,13 @@ fn build_service(args: &Args) -> Result<EmbedService, ParseError> {
     })
 }
 
-/// Feeds a JSONL stream through the service and renders one canonical
-/// protocol response line per input line (id = the request's `id`, or its
-/// 1-based line number), followed by the service statistics. Malformed or
+/// Quotes a JSONL stream as one independent batch
+/// ([`EmbedService::submit_batch`]) and renders one canonical protocol
+/// response line per input line (id = the request's `id`, or its 1-based
+/// line number), followed by the service statistics. Malformed or
 /// infeasible lines are reported as structured error responses in place;
 /// the stream keeps going.
-fn run_stream(svc: &mut EmbedService, text: &str, mode: BatchMode) -> String {
+fn quote_batch(svc: &EmbedService, text: &str) -> String {
     enum Line {
         Task { id: Option<u64>, index: usize },
         Done(EmbedResponse),
@@ -365,14 +364,15 @@ fn run_stream(svc: &mut EmbedService, text: &str, mode: BatchMode) -> String {
                 lines.push(Line::Done(EmbedResponse::draining(id.or(line_id))));
                 break;
             }
-            // Batch solves its tasks in bulk and keeps no session state;
-            // lifecycle streams belong on `sft serve` / `sft client`.
+            // Independent quotes commit nothing, so there is no session
+            // to release.
             Ok(Request::Release { id, .. }) => {
                 lines.push(Line::Done(EmbedResponse::wire_failure(
                     id.or(line_id),
                     protocol::WireError {
                         code: protocol::ErrorCode::ParseError,
-                        message: "batch keeps no sessions; send release lines to sft serve"
+                        message: "an independent batch keeps no sessions; send release lines \
+                                  to sft batch --mode sequential or sft serve"
                             .to_string(),
                     },
                 )));
@@ -380,13 +380,12 @@ fn run_stream(svc: &mut EmbedService, text: &str, mode: BatchMode) -> String {
             Err(e) => lines.push(Line::Done(EmbedResponse::wire_failure(line_id, e))),
         }
     }
-    let committed = matches!(mode, BatchMode::Sequential);
-    let results = svc.submit_batch(&tasks, mode);
+    let results = svc.submit_batch(&tasks);
     let mut out = String::new();
     for line in lines {
         let resp = match line {
             Line::Task { id, index } => match &results[index] {
-                Ok(r) => EmbedResponse::success(id, r, committed),
+                Ok(r) => EmbedResponse::success(id, r, false),
                 Err(e) => EmbedResponse::failure(id, e),
             },
             Line::Done(resp) => resp,
@@ -398,123 +397,47 @@ fn run_stream(svc: &mut EmbedService, text: &str, mode: BatchMode) -> String {
 }
 
 /// `sft batch`: run a JSONL task file through one shared network.
+/// `--mode sequential` (the default) answers the file line by line as
+/// stdin `sft serve` would, with commit semantics; `--mode independent`
+/// quotes every task against the starting network.
 ///
 /// # Errors
 ///
 /// [`ParseError`] for bad flags, topology specs, or an unreadable task
 /// file. Per-task failures are reported inline, not as errors.
 pub fn batch(args: &Args) -> Result<String, ParseError> {
-    let mut svc = build_service(args)?;
-    let path = args.require("tasks")?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ParseError(format!("cannot read {path}: {e}")))?;
-    let mode = match args.get("mode").unwrap_or("sequential") {
-        "sequential" => BatchMode::Sequential,
-        "independent" => BatchMode::Independent,
-        other => {
-            return Err(ParseError(format!(
-                "unknown mode `{other}` (sequential or independent)"
-            )))
-        }
-    };
-    Ok(run_stream(&mut svc, &text, mode))
-}
-
-/// Streams protocol lines from `reader`, answering each on `writer` as it
-/// arrives — no buffering until EOF, and a malformed line yields a
-/// structured error response instead of killing the stream. Requests
-/// without a `mode` use `default_mode`; `{"op":"shutdown"}` ends the
-/// stream with a `draining` acknowledgement.
-///
-/// Commits register sessions under their effective id (the request `id`,
-/// or the 1-based line number) in a [`CapacityLedger`], and
-/// `{"op":"release","session":N}` tears the most recent live session with
-/// that id down again — the stdin channel speaks the same lifecycle, and
-/// keeps the same session table, as the socket server.
-pub fn serve_stream(
-    svc: &mut EmbedService,
-    reader: impl BufRead,
-    writer: &mut impl IoWrite,
-    default_mode: RequestMode,
-) -> std::io::Result<()> {
-    let ledger = CapacityLedger::new(svc.network());
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let line_id = Some(lineno as u64 + 1);
-        let resp = match protocol::parse_request(trimmed) {
-            Err(e) => EmbedResponse::wire_failure(line_id, e),
-            Ok(Request::Shutdown { id, .. }) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    EmbedResponse::draining(id.or(line_id)).to_json()
-                )?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Ok(Request::Release { id, session, .. }) => {
-                let id = id.or(line_id);
-                let released = ledger.release_usage(session).and_then(|usage| {
-                    let freed = svc.apply_release(&usage)?;
-                    ledger
-                        .confirm_release(session)
-                        .expect("a session release_usage resolved cannot fail to confirm");
-                    Ok((usage, freed))
-                });
-                match released {
-                    Ok((usage, freed)) => EmbedResponse::released(
-                        id,
-                        session,
-                        freed.iter().map(|&(f, v)| (f.0, v.0)).collect(),
-                        usage.deploys().len() + usage.refs().len() - freed.len(),
-                        usage.total_bandwidth(),
-                    ),
-                    Err(e) => EmbedResponse::failure(id, &e),
-                }
-            }
-            Ok(Request::Embed(req)) => {
-                let id = req.id.or(line_id);
-                match req.to_task() {
-                    Err(e) => EmbedResponse::failure(id, &ServiceError::Core(e)),
-                    Ok(task) => {
-                        let mode = req.mode.unwrap_or(default_mode);
-                        let result = match mode {
-                            RequestMode::Quote => svc.solve_uncommitted(&task),
-                            RequestMode::Commit => {
-                                svc.solve_uncommitted(&task).and_then(|result| {
-                                    let delta =
-                                        svc.network().commit_delta(&task, &result.embedding);
-                                    svc.apply_commit(&delta)?;
-                                    ledger.confirm(id, &delta);
-                                    Ok(result)
-                                })
-                            }
-                        };
-                        match result {
-                            Ok(r) => {
-                                EmbedResponse::success(id, &r, matches!(mode, RequestMode::Commit))
-                            }
-                            Err(e) => EmbedResponse::failure(id, &e),
-                        }
-                    }
-                }
-            }
-        };
-        writeln!(writer, "{}", resp.to_json())?;
-        writer.flush()?;
-    }
-    Ok(())
-}
-
-/// `sft serve --listen <addr>`: the socket front-end.
-fn serve_socket(args: &Args, addr: &str) -> Result<String, ParseError> {
     let svc = build_service(args)?;
-    let default_mode = parse_request_mode(args.get("default-mode").unwrap_or("quote"))?;
-    let config = ServerConfig {
+    let path = args.require("tasks")?;
+    let cannot_read = |e: std::io::Error| ParseError(format!("cannot read {path}: {e}"));
+    match args.get("mode").unwrap_or("sequential") {
+        "sequential" => {
+            let file = std::fs::File::open(path).map_err(cannot_read)?;
+            let config = ServerConfig {
+                default_mode: RequestMode::Commit,
+                ..ServerConfig::default()
+            };
+            let handle = ServerHandle::inline(svc, config);
+            let mut out = Vec::new();
+            handle.answer_lines(file, &mut out).map_err(cannot_read)?;
+            let mut out = String::from_utf8(out).expect("response lines are UTF-8");
+            let _ = writeln!(out, "\n{}", handle.stats().render().trim_end());
+            Ok(out)
+        }
+        "independent" => {
+            let text = std::fs::read_to_string(path).map_err(cannot_read)?;
+            Ok(quote_batch(&svc, &text))
+        }
+        other => Err(ParseError(format!(
+            "unknown mode `{other}` (sequential or independent)"
+        ))),
+    }
+}
+
+/// The server configuration of `sft serve`, on either channel: the
+/// socket's worker pool, queue and commit retries, and the default
+/// deadline and mode every request without its own gets.
+fn server_config(args: &Args, default_mode: &str) -> Result<ServerConfig, ParseError> {
+    Ok(ServerConfig {
         workers: args.parse_or("workers", 4usize)?.max(1),
         admission: AdmissionConfig {
             queue_bound: args.parse_or("queue-bound", 128usize)?,
@@ -528,7 +451,7 @@ fn serve_socket(args: &Args, addr: &str) -> Result<String, ParseError> {
                 .transpose()?,
             capacity_check: true,
         },
-        default_mode,
+        default_mode: parse_request_mode(args.get("default-mode").unwrap_or(default_mode))?,
         commit_retries: args.parse_or("commit-retries", 3usize)?.max(1),
         defrag_every: args
             .get("defrag-every-ms")
@@ -539,7 +462,22 @@ fn serve_socket(args: &Args, addr: &str) -> Result<String, ParseError> {
             })
             .transpose()?
             .map(std::time::Duration::from_millis),
-    };
+    })
+}
+
+/// The in-process server stdin `sft serve` answers through: commit is its
+/// default mode.
+fn stdin_server(args: &Args) -> Result<ServerHandle, ParseError> {
+    Ok(ServerHandle::inline(
+        build_service(args)?,
+        server_config(args, "commit")?,
+    ))
+}
+
+/// `sft serve --listen <addr>`: the socket front-end.
+fn serve_socket(args: &Args, addr: &str) -> Result<String, ParseError> {
+    let svc = build_service(args)?;
+    let config = server_config(args, "quote")?;
     let mut handle = sft_service::serve(svc, addr, config)
         .map_err(|e| ParseError(format!("cannot listen on {addr}: {e}")))?;
     match handle.local_addr() {
@@ -564,7 +502,9 @@ fn parse_request_mode(raw: &str) -> Result<RequestMode, ParseError> {
 /// TCP (`host:port`) or a Unix socket (`unix:<path>`) until a client
 /// sends `{"op":"shutdown"}`. Without it, stream JSONL request lines from
 /// stdin, answering each as it arrives with commit semantics (each
-/// success updates the network, the paper's §IV-D online regime).
+/// success updates the network, the paper's §IV-D online regime). Both
+/// channels answer through the same admission, commit and release code;
+/// stdin answers one line at a time on this thread.
 ///
 /// # Errors
 ///
@@ -574,13 +514,11 @@ pub fn serve(args: &Args) -> Result<String, ParseError> {
         let addr = addr.to_string();
         return serve_socket(args, &addr);
     }
-    let mut svc = build_service(args)?;
-    let default_mode = parse_request_mode(args.get("default-mode").unwrap_or("commit"))?;
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    serve_stream(&mut svc, stdin.lock(), &mut stdout.lock(), default_mode)
+    let handle = stdin_server(args)?;
+    handle
+        .answer_lines(std::io::stdin().lock(), &mut std::io::stdout().lock())
         .map_err(|e| ParseError(format!("stream I/O error: {e}")))?;
-    Ok(format!("\n{}\n", svc.stats().render().trim_end()))
+    Ok(format!("\n{}\n", handle.stats().render().trim_end()))
 }
 
 /// `sft workload`: generate a long-horizon arrival/departure session
@@ -767,33 +705,12 @@ pub fn client(args: &Args) -> Result<String, ParseError> {
     for (lineno, parsed) in protocol::parse_stream(&text) {
         let line_id = Some(lineno as u64);
         match parsed {
-            Ok(Request::Embed(mut req)) => {
-                req.id = req.id.or(line_id);
-                req.mode = req.mode.or(override_mode);
-                writeln!(writer, "{}", req.to_json()).map_err(io_err)?;
-                expected += 1;
-            }
-            Ok(Request::Release {
-                v,
-                id,
-                session,
-                deadline_ms,
-            }) => {
-                let req = Request::Release {
-                    v,
-                    id: id.or(line_id),
-                    session,
-                    deadline_ms,
-                };
-                writeln!(writer, "{}", req.to_json()).map_err(io_err)?;
-                expected += 1;
-            }
-            Ok(Request::Shutdown { v, id }) => {
-                let req = Request::Shutdown {
-                    v,
-                    id: id.or(line_id),
-                };
-                writeln!(writer, "{}", req.to_json()).map_err(io_err)?;
+            Ok(mut request) => {
+                if let Request::Embed(req) = &mut request {
+                    req.mode = req.mode.or(override_mode);
+                }
+                let request = request.with_default_id(line_id);
+                writeln!(writer, "{}", request.to_json()).map_err(io_err)?;
                 expected += 1;
             }
             Err(e) => responses.push(EmbedResponse::wire_failure(line_id, e)),
@@ -1132,28 +1049,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The in-process server stdin `sft serve` runs for `cmdline`.
+    fn stdin_server_for(cmdline: &str) -> ServerHandle {
+        let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
+        stdin_server(&Args::parse(&argv).unwrap()).unwrap()
+    }
+
+    /// What stdin `sft serve` prints for `input`, response lines only.
+    fn answers(handle: &ServerHandle, input: impl std::io::Read) -> String {
+        let mut out = Vec::new();
+        handle.answer_lines(input, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
-    fn serve_stream_answers_each_line_and_survives_bad_ones() {
-        let argv: Vec<String> = "serve --topology grid:3x4"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = Args::parse(&argv).unwrap();
-        let mut svc = build_service(&args).unwrap();
+    fn stdin_serve_answers_each_line_and_survives_bad_ones() {
+        let handle = stdin_server_for("serve --topology grid:3x4");
         let input = "{\"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}\n\
                      this is not json\n\
                      {\"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}\n\
                      {\"op\": \"shutdown\"}\n\
                      {\"source\": 3, \"dests\": [8], \"sfc\": [2]}\n";
-        let mut out = Vec::new();
-        serve_stream(
-            &mut svc,
-            std::io::Cursor::new(input),
-            &mut out,
-            RequestMode::Commit,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let out = answers(&handle, input.as_bytes());
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4, "shutdown ends the stream: {out}");
         assert!(lines[0].contains("\"id\":1,\"status\":\"ok\""), "{out}");
@@ -1163,7 +1080,7 @@ mod tests {
         // The repeated committed task pays no setup the second time.
         assert!(lines[2].contains("\"setup\":0"), "{out}");
         assert!(lines[3].contains("\"status\":\"draining\""), "{out}");
-        assert_eq!(svc.stats().commits, 2);
+        assert_eq!(handle.stats().commits, 2);
     }
 
     #[test]
@@ -1233,25 +1150,12 @@ mod tests {
     /// `bw_freed`) lets the same task commit again.
     #[test]
     fn link_bw_flag_saturates_refuses_and_recovers_on_release() {
-        let argv: Vec<String> = "serve --topology grid:1x2 --link-bw 1"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = Args::parse(&argv).unwrap();
-        let mut svc = build_service(&args).unwrap();
+        let handle = stdin_server_for("serve --topology grid:1x2 --link-bw 1");
         let input = "{\"id\": 1, \"source\": 0, \"dests\": [1], \"sfc\": [0], \"bandwidth\": 0.6}\n\
                      {\"id\": 2, \"source\": 0, \"dests\": [1], \"sfc\": [0], \"bandwidth\": 0.6}\n\
                      {\"op\": \"release\", \"session\": 1}\n\
                      {\"id\": 4, \"source\": 0, \"dests\": [1], \"sfc\": [0], \"bandwidth\": 0.6}\n";
-        let mut out = Vec::new();
-        serve_stream(
-            &mut svc,
-            std::io::Cursor::new(input),
-            &mut out,
-            RequestMode::Commit,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let out = answers(&handle, input.as_bytes());
         let lines: Vec<&str> = out.lines().collect();
         assert!(lines[0].contains("\"id\":1,\"status\":\"ok\""), "{out}");
         // The saturated link cannot carry a second 0.6 demand: refused,
@@ -1267,7 +1171,7 @@ mod tests {
         assert!(lines[2].contains("\"bw_freed\":0.6"), "{out}");
         // The freed link admits the same demand again.
         assert!(lines[3].contains("\"id\":4,\"status\":\"ok\""), "{out}");
-        let stats = svc.stats();
+        let stats = handle.stats();
         assert_eq!(stats.link_edges, 1, "one capacitated edge");
         assert!(stats.render().contains("link util"), "{}", stats.render());
     }
@@ -1314,25 +1218,12 @@ mod tests {
     /// workload of arrivals and departures leaves the network exactly at
     /// its seed state once every session has departed.
     #[test]
-    fn workload_through_serve_stream_returns_to_the_seed_network() {
+    fn workload_through_stdin_serve_returns_to_the_seed_network() {
         let stream =
             run("workload --topology grid:3x4 --count 30 --seed 9 --rate 4 --hold 2").unwrap();
-        let argv: Vec<String> = "serve --topology grid:3x4"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = Args::parse(&argv).unwrap();
-        let mut svc = build_service(&args).unwrap();
-        let seed = svc.network().clone();
-        let mut out = Vec::new();
-        serve_stream(
-            &mut svc,
-            std::io::Cursor::new(stream),
-            &mut out,
-            RequestMode::Commit,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let handle = stdin_server_for("serve --topology grid:3x4");
+        let seed = handle.network();
+        let out = answers(&handle, stream.as_bytes());
         let mut committed = 0usize;
         let mut released = 0usize;
         for line in out.lines() {
@@ -1346,16 +1237,114 @@ mod tests {
         assert_eq!(committed, 30, "{out}");
         assert_eq!(released, 30, "{out}");
         assert_eq!(
-            svc.network().deployment_refcounts(),
+            handle.network().deployment_refcounts(),
             seed.deployment_refcounts()
         );
         assert_eq!(
-            svc.network().total_residual_capacity(),
+            handle.network().total_residual_capacity(),
             seed.total_residual_capacity()
         );
-        let stats = svc.stats();
+        let stats = handle.stats();
         assert_eq!(stats.commits, 30);
         assert_eq!(stats.releases, 30);
+    }
+
+    /// A line that is not UTF-8 is refused like any malformed line, and
+    /// the stream goes on, to a last line that stdin answers although no
+    /// newline ends it.
+    #[test]
+    fn stdin_serve_refuses_a_non_utf8_line_and_serves_the_next() {
+        let handle = stdin_server_for("serve --topology grid:3x4");
+        let mut input = b"{\"source\": \xff\xfe}\n".to_vec();
+        input.extend_from_slice(b"{\"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}");
+        let out = answers(&handle, &input[..]);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(
+            lines[0].contains("\"id\":1,\"status\":\"error\"")
+                && lines[0].contains("\"code\":\"parse_error\""),
+            "{out}"
+        );
+        assert!(lines[1].contains("\"id\":2,\"status\":\"ok\""), "{out}");
+    }
+
+    /// A reader that counts the bytes taken from it.
+    struct Counted<'a, R>(R, &'a std::cell::Cell<u64>);
+
+    impl<R: std::io::Read> std::io::Read for Counted<'_, R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            self.1.set(self.1.get() + n as u64);
+            Ok(n)
+        }
+    }
+
+    /// A line over the 1 MiB cap is refused and ends the stream: the rest
+    /// of it, and every later line, stays unread.
+    #[test]
+    fn stdin_serve_refuses_an_over_long_line_without_reading_it_whole() {
+        use std::io::Read as _;
+        let handle = stdin_server_for("serve --topology grid:3x4");
+        let read = std::cell::Cell::new(0);
+        let huge = std::io::repeat(b'x').take(64 << 20);
+        let next = &b"\n{\"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}\n"[..];
+        let out = answers(&handle, Counted(huge.chain(next), &read));
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 1, "{out}");
+        assert!(lines[0].contains("\"id\":1,\"status\":\"error\""), "{out}");
+        assert!(lines[0].contains("\"code\":\"parse_error\""), "{out}");
+        assert!(lines[0].contains("exceeds"), "{out}");
+        assert!(read.get() < 2 << 20, "read {} bytes", read.get());
+        assert_eq!(handle.stats().tasks_served, 0);
+    }
+
+    /// A commit whose deadline has already passed when it is answered is
+    /// refused `deadline_exceeded`, as on the socket, and changes nothing.
+    #[test]
+    fn stdin_serve_honours_a_zero_deadline() {
+        let handle = stdin_server_for("serve --topology grid:3x4");
+        let seed = handle.network();
+        let out = answers(
+            &handle,
+            &b"{\"id\": 1, \"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1], \"deadline_ms\": 0}\n"[..],
+        );
+        assert!(out.contains("\"code\":\"deadline_exceeded\""), "{out}");
+        let network = handle.network();
+        assert_eq!(network.deployment_refcounts(), seed.deployment_refcounts());
+        assert_eq!(
+            network.total_residual_capacity(),
+            seed.total_residual_capacity()
+        );
+        assert!(handle.commit_log().is_empty());
+        assert_eq!(handle.stats().commits, 0);
+    }
+
+    /// Sequential `sft batch` keeps sessions: a release line tears down
+    /// the session an earlier line committed.
+    #[test]
+    fn sequential_batch_serves_release_lines() {
+        let dir = std::env::temp_dir().join("sft_cli_batch_release");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("tasks.jsonl");
+        std::fs::write(
+            &file,
+            "{\"id\": 7, \"source\": 0, \"dests\": [7, 11], \"sfc\": [0, 1]}\n\
+             {\"op\": \"release\", \"session\": 7}\n",
+        )
+        .unwrap();
+        let out = run(&format!(
+            "batch --topology grid:3x4 --tasks {}",
+            file.display()
+        ))
+        .unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].contains("\"id\":7,\"status\":\"ok\""), "{out}");
+        assert!(
+            lines[1].contains("\"id\":2,\"status\":\"released\",\"session\":7"),
+            "{out}"
+        );
+        assert!(out.contains("releases       : 1"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

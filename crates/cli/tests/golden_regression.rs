@@ -242,3 +242,85 @@ fn delay_budget_stream_is_byte_identical_to_its_anchor() {
         assert_eq!(g, w, "line {i} drifted from the latency anchor");
     }
 }
+
+/// The answers `sft serve <flags> --listen` gives to `stream` when a
+/// client keeps one request in flight: it sends each line (id defaulting
+/// to the line number, as on stdin) only after reading the previous
+/// answer. The server runs stdin's default mode, commit.
+fn lockstep_socket_answers(flags: &str, stream: &str) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sft"))
+        .args(flags.split_whitespace())
+        .args(["--listen", "127.0.0.1:0", "--default-mode", "commit"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sft serve --listen");
+    let mut banner = String::new();
+    BufReader::new(child.stderr.take().expect("piped stderr"))
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("sft serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
+    let (reader, mut writer) = sft_service::connect(addr).unwrap();
+    let mut reader = BufReader::new(reader);
+    let mut roundtrip = |request: Request| {
+        writeln!(writer, "{}", request.to_json()).unwrap();
+        writer.flush().unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        answer.trim_end().to_string()
+    };
+    let answers = protocol::parse_stream(stream)
+        .into_iter()
+        .map(|(lineno, parsed)| {
+            let request = parsed.expect("workload lines parse");
+            roundtrip(request.with_default_id(Some(lineno as u64)))
+        })
+        .collect();
+    let drained = roundtrip(Request::Shutdown {
+        v: protocol::PROTOCOL_VERSION,
+        id: None,
+    });
+    assert!(drained.contains("\"status\":\"draining\""), "{drained}");
+    assert!(child.wait_with_output().unwrap().status.success());
+    answers
+}
+
+/// Stdin `sft serve` and the socket answer through one request path: on
+/// the latency anchor's stream and on a stream whose bandwidth demands
+/// reach the widest link (where the socket's admission check refuses two
+/// requests `insufficient_capacity`), a lockstep socket client gets the
+/// stdin answers line for line.
+#[test]
+fn stdin_and_a_lockstep_socket_client_answer_alike() {
+    for (workload, flags) in [
+        (
+            "workload --topology waxman:300:7 --count 60 --rate 2 --hold 5 --seed 3 --dests 4 \
+             --delay-budget 20",
+            "serve --topology waxman:300:7 --servers 32 --link-latency 2",
+        ),
+        (
+            "workload --topology palmetto --count 400 --rate 10 --hold 20 --seed 5 --bandwidth 3",
+            "serve --topology palmetto --capacity 1 --link-bw 3",
+        ),
+    ] {
+        let stream = sft(workload, "");
+        let out = sft(flags, &stream);
+        let stdin: Vec<&str> = out.lines().filter(|l| l.starts_with('{')).collect();
+        if flags.contains("--link-bw") {
+            assert!(
+                stdin
+                    .iter()
+                    .any(|l| l.contains("the widest residual link has")),
+                "admission's bandwidth bound answers on stdin too"
+            );
+        }
+        let socket = lockstep_socket_answers(flags, &stream);
+        assert_eq!(stdin.len(), socket.len(), "{flags}");
+        for (i, (s, t)) in stdin.iter().zip(&socket).enumerate() {
+            assert_eq!(s, t, "{flags}: answer {i} differs");
+        }
+    }
+}

@@ -65,7 +65,6 @@ pub mod network;
 pub mod opa;
 pub mod rsa;
 pub mod sca;
-pub mod sequential;
 pub mod sft_tree;
 pub mod stats;
 pub mod task;
@@ -79,7 +78,6 @@ pub use cost::{delivery_cost, CostBreakdown};
 pub use embedding::{DestinationRoute, Embedding};
 pub use error::CoreError;
 pub use network::{CommitDelta, Network, NetworkBuilder};
-pub use sequential::SequentialEmbedder;
 pub use sft_graph::{CancelToken, EdgeId, LazyDistances, Parallelism, SteinerCache};
 pub use sft_tree::{SftNode, SftTree};
 pub use stats::EmbeddingStats;

@@ -20,15 +20,17 @@
 //! same stream runs bandwidth-constrained: every link carries a capacity
 //! and every session a demand, so blocking reflects both resources.
 //!
-//! Everything is in-process (one [`EmbedService`], no socket) and fully
-//! deterministic in the seed.
+//! Everything is in-process and fully deterministic in the seed: arrivals
+//! are commit requests and departures release requests, answered by one
+//! [`ServerHandle::inline`] server through the same admission, commit and
+//! release code as `sft serve`, with no socket and no thread.
 
 use crate::ExperimentError;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use sft_core::{CommitDelta, Network, VnfCatalog};
+use sft_core::{Network, VnfCatalog};
 use sft_graph::{Graph, NodeId};
-use sft_service::protocol::EmbedRequest;
-use sft_service::EmbedService;
+use sft_service::protocol::{EmbedRequest, Request, RequestMode, ResponseBody, PROTOCOL_VERSION};
+use sft_service::{EmbedService, ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
 
 /// One churn run's parameters.
@@ -158,7 +160,10 @@ pub fn run(config: &ChurnConfig) -> Result<ChurnPoint, ExperimentError> {
         )));
     }
     let seed_network = ring_network(config)?;
-    let mut svc = EmbedService::with_defaults(seed_network.clone());
+    let server = ServerHandle::inline(
+        EmbedService::with_defaults(seed_network.clone()),
+        ServerConfig::default(),
+    );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let exp = |rng: &mut StdRng, mean: f64| -> f64 {
         let u: f64 = rng.random::<f64>();
@@ -221,52 +226,48 @@ pub fn run(config: &ChurnConfig) -> Result<ChurnPoint, ExperimentError> {
     });
 
     // Replay the stream, time-averaging the live-session count.
-    let mut live: BTreeMap<u64, CommitDelta> = BTreeMap::new();
+    let mut live = 0usize;
     let mut admitted = 0usize;
     let mut blocked = 0usize;
     let mut peak_live = 0usize;
     let mut live_area = 0.0;
     let mut last_time = 0.0;
     for event in &events {
-        live_area += live.len() as f64 * (event.time - last_time);
+        live_area += live as f64 * (event.time - last_time);
         last_time = event.time;
-        match event.kind {
+        let request = match event.kind {
             EventKind::Arrive => {
                 let (source, dests, sfc, demand, budget) = shapes[&event.session].clone();
                 let mut req = EmbedRequest::new(source, dests, sfc);
+                req.id = Some(event.session);
+                req.mode = Some(RequestMode::Commit);
                 req.bandwidth = demand;
                 req.delay_budget_ms = budget;
-                let outcome = req
-                    .to_task()
-                    .map_err(sft_service::ServiceError::Core)
-                    .and_then(|task| {
-                        let result = svc.solve_uncommitted(&task)?;
-                        let delta = svc.network().commit_delta(&task, &result.embedding);
-                        svc.apply_commit(&delta)?;
-                        Ok(delta)
-                    });
-                match outcome {
-                    Ok(delta) => {
-                        admitted += 1;
-                        live.insert(event.session, delta);
-                        peak_live = peak_live.max(live.len());
-                    }
-                    Err(_) => blocked += 1,
-                }
+                Request::Embed(req)
             }
-            EventKind::Depart => {
-                // Blocked arrivals still emit a departure event; only
-                // admitted sessions hold capacity to give back.
-                if let Some(delta) = live.remove(&event.session) {
-                    svc.apply_release(&delta)
-                        .expect("a live session's release cannot fail");
-                }
+            // Blocked arrivals still depart; their release answers
+            // `unknown_session` and changes nothing.
+            EventKind::Depart => Request::Release {
+                v: PROTOCOL_VERSION,
+                id: None,
+                session: event.session,
+                deadline_ms: None,
+            },
+        };
+        match (event.kind, server.answer(request).body) {
+            (EventKind::Arrive, ResponseBody::Ok { .. }) => {
+                admitted += 1;
+                live += 1;
+                peak_live = peak_live.max(live);
             }
+            (EventKind::Arrive, _) => blocked += 1,
+            (EventKind::Depart, ResponseBody::Released { .. }) => live -= 1,
+            (EventKind::Depart, _) => {}
         }
     }
 
     let leak_free = {
-        let network = svc.network();
+        let network = server.network();
         network.deployment_refcounts() == seed_network.deployment_refcounts()
             && (0..config.nodes).all(|v| {
                 network.residual_capacity(NodeId(v)) == seed_network.residual_capacity(NodeId(v))

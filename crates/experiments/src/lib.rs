@@ -21,6 +21,7 @@ pub mod churn;
 pub mod figures;
 pub mod record;
 pub mod runner;
+pub mod sequential;
 
 pub use record::{CellStats, FigureData, RecordError};
 pub use runner::{run_heuristics, HeuristicRun};

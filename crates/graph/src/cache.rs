@@ -18,13 +18,17 @@
 //! * **Values** may be `None`, recording that tree construction failed for
 //!   that key (e.g. a terminal disconnected from the root); negative
 //!   results are as cacheable as positive ones.
-//! * **Invalidation** is the owner's job exactly when the *graph* changes
-//!   (topology or edge weights). Mutations of node state that do not touch
-//!   the graph — committing an embedding, deploying an instance, debiting
-//!   capacity — must NOT invalidate the cache; that independence is what
-//!   makes cross-request reuse profitable. [`SteinerCache::invalidate`]
-//!   clears every entry and bumps an epoch counter so owners can assert
-//!   the flush happened.
+//! * **No invalidation.** A network never changes its graph (it holds it
+//!   behind an `Arc`), and mutations of node state that do not touch the
+//!   graph — committing an embedding, deploying an instance, debiting
+//!   capacity — are not cache inputs. That independence is what makes
+//!   cross-request reuse profitable; a different graph needs a new cache.
+//! * **Counting** books one hit or one miss per lookup, and a store that
+//!   finds its key already cached (another thread built the same tree
+//!   between a miss and its store) re-books that lookup as a hit. So the
+//!   counters depend only on the lookups made, never on how racing
+//!   threads interleave: without eviction or cancelled builds, `misses`
+//!   equals the entry count.
 //! * **Bounding** is optional: [`SteinerCache::bounded`] caps the entry
 //!   count and evicts with the CLOCK (second-chance) policy — entries
 //!   touched since the clock hand last passed survive one sweep — so a
@@ -48,8 +52,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// How many times the cache has been invalidated.
-    pub epoch: u64,
 }
 
 impl CacheStats {
@@ -65,8 +67,8 @@ impl CacheStats {
 }
 
 /// A mutex-protected `(root, terminals) -> Option<SteinerTree>` map with
-/// hit/miss/eviction counters, an invalidation epoch, and an optional
-/// capacity bound enforced by CLOCK eviction.
+/// hit/miss/eviction counters and an optional capacity bound enforced by
+/// CLOCK eviction.
 ///
 /// This is the cache a long-running embedding service shares across
 /// requests and worker threads. Contention is modest by construction:
@@ -81,7 +83,6 @@ pub struct SteinerCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    epoch: AtomicU64,
 }
 
 /// `(root, terminal sequence)` — the cache key.
@@ -106,7 +107,7 @@ struct CacheInner {
 }
 
 impl SteinerCache {
-    /// An empty unbounded cache at epoch 0.
+    /// An empty unbounded cache.
     pub fn new() -> Self {
         SteinerCache::default()
     }
@@ -161,19 +162,6 @@ impl SteinerCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// How many times [`SteinerCache::invalidate`] has run.
-    ///
-    /// `Acquire` pairs with the `Release` bump in
-    /// [`SteinerCache::invalidate`]: a thread that observes epoch `E` is
-    /// guaranteed to also observe every effect (the entry clearing) that
-    /// happened-before the bump to `E`. Without the pairing, a reader
-    /// could see the new epoch while a subsequent `lookup` still hits a
-    /// pre-flush entry — exactly the stale pairing owners use the epoch
-    /// to rule out.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// A snapshot of every counter at once.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -181,7 +169,6 @@ impl SteinerCache {
             hits: self.hits(),
             misses: self.misses(),
             evictions: self.evictions(),
-            epoch: self.epoch(),
         }
     }
 
@@ -205,13 +192,22 @@ impl SteinerCache {
         }
     }
 
-    /// Stores the outcome for `(root, terminals)`.
+    /// Stores the outcome for `(root, terminals)`, built after a
+    /// [`SteinerCache::lookup`] missed. If the key is cached by now, the
+    /// entry is kept and that lookup is booked as a hit instead: its
+    /// outcome is what the cache holds (outcomes are pure functions of
+    /// their key).
     pub fn store(&self, root: NodeId, terminals: &[NodeId], tree: Option<SteinerTree>) {
         let key = (root, terminals.to_vec());
         let mut inner = self.entries.lock().expect("cache lock poisoned");
         if let Some(slot) = inner.map.get_mut(&key) {
-            slot.value = tree;
             slot.referenced = true;
+            let rebooked = self
+                .misses
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| m.checked_sub(1));
+            if rebooked.is_ok() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
             return;
         }
         let slot = Slot {
@@ -248,44 +244,6 @@ impl SteinerCache {
             }
         }
     }
-
-    /// Drops every entry. Owners call this when the underlying graph
-    /// changes; see the module docs for what does *not* require it.
-    pub fn invalidate(&self) {
-        let mut inner = self.entries.lock().expect("cache lock poisoned");
-        inner.map.clear();
-        inner.ring.clear();
-        inner.hand = 0;
-        // The bump must be `Release` (and is issued while still holding
-        // the entry lock, i.e. after the clears above): [`SteinerCache::epoch`]
-        // reads the counter *without* taking the lock, so only the
-        // Release/Acquire pair orders "epoch advanced" after "entries
-        // cleared". With `Relaxed` on either side a concurrent reader may
-        // observe the new epoch yet still find (and trust) pre-flush
-        // entries on its next locked lookup — the mutex orders the map
-        // accesses themselves, but not the unlocked epoch read against
-        // them.
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Looks up `(root, terminals)`, computing and storing the outcome via
-    /// `build` on a miss.
-    pub fn get_or_insert_with<F>(
-        &self,
-        root: NodeId,
-        terminals: &[NodeId],
-        build: F,
-    ) -> Option<SteinerTree>
-    where
-        F: FnOnce() -> Option<SteinerTree>,
-    {
-        if let Some(cached) = self.lookup(root, terminals) {
-            return cached;
-        }
-        let tree = build();
-        self.store(root, terminals, tree.clone());
-        tree
-    }
 }
 
 #[cfg(test)]
@@ -303,6 +261,22 @@ mod tests {
         g.steiner_kmb_with_provider(&dist, terminals, None).ok()
     }
 
+    /// The lookup-then-store protocol every cache user follows: a miss
+    /// builds the outcome and stores it.
+    fn cached(
+        cache: &SteinerCache,
+        root: NodeId,
+        terminals: &[NodeId],
+        build: impl FnOnce() -> Option<SteinerTree>,
+    ) -> Option<SteinerTree> {
+        if let Some(hit) = cache.lookup(root, terminals) {
+            return hit;
+        }
+        let tree = build();
+        cache.store(root, terminals, tree.clone());
+        tree
+    }
+
     fn diamond() -> Graph {
         let mut g = Graph::new(4);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
@@ -318,12 +292,8 @@ mod tests {
         let cache = SteinerCache::new();
         let terminals = [NodeId(3)];
         let build = || kmb(&g, &[NodeId(0), NodeId(3)]);
-        let first = cache
-            .get_or_insert_with(NodeId(0), &terminals, build)
-            .unwrap();
-        let second = cache
-            .get_or_insert_with(NodeId(0), &terminals, build)
-            .unwrap();
+        let first = cached(&cache, NodeId(0), &terminals, build).unwrap();
+        let second = cached(&cache, NodeId(0), &terminals, build).unwrap();
         assert_eq!(first, second);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -338,12 +308,8 @@ mod tests {
         // Node 2 is disconnected: tree construction fails.
         let cache = SteinerCache::new();
         let build = || kmb(&g, &[NodeId(0), NodeId(2)]);
-        assert!(cache
-            .get_or_insert_with(NodeId(0), &[NodeId(2)], build)
-            .is_none());
-        assert!(cache
-            .get_or_insert_with(NodeId(0), &[NodeId(2)], || panic!("must be cached"))
-            .is_none());
+        assert!(cached(&cache, NodeId(0), &[NodeId(2)], build).is_none());
+        assert!(cached(&cache, NodeId(0), &[NodeId(2)], || panic!("must be cached")).is_none());
         assert_eq!(cache.hits(), 1);
     }
 
@@ -351,25 +317,32 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let g = diamond();
         let cache = SteinerCache::new();
-        let t1 = cache
-            .get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]))
-            .unwrap();
-        let t2 = cache
-            .get_or_insert_with(NodeId(1), &[NodeId(2)], || kmb(&g, &[NodeId(1), NodeId(2)]))
-            .unwrap();
+        let t1 = cached(&cache, NodeId(0), &[NodeId(3)], || {
+            kmb(&g, &[NodeId(0), NodeId(3)])
+        })
+        .unwrap();
+        let t2 = cached(&cache, NodeId(1), &[NodeId(2)], || {
+            kmb(&g, &[NodeId(1), NodeId(2)])
+        })
+        .unwrap();
         assert_eq!(cache.len(), 2);
         assert_ne!(t1.edges, t2.edges);
     }
 
+    /// Two threads that both miss one key both build and store it; the
+    /// second store finds the key cached and books its lookup as a hit,
+    /// so the counters do not depend on the race.
     #[test]
-    fn invalidate_clears_and_bumps_epoch() {
+    fn a_store_that_finds_its_key_cached_books_its_lookup_as_a_hit() {
         let g = diamond();
         let cache = SteinerCache::new();
-        cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]));
-        assert_eq!(cache.len(), 1);
-        cache.invalidate();
-        assert!(cache.is_empty());
-        assert_eq!(cache.epoch(), 1);
+        let tree = kmb(&g, &[NodeId(0), NodeId(3)]);
+        assert!(cache.lookup(NodeId(0), &[NodeId(3)]).is_none());
+        assert!(cache.lookup(NodeId(0), &[NodeId(3)]).is_none());
+        cache.store(NodeId(0), &[NodeId(3)], tree.clone());
+        cache.store(NodeId(0), &[NodeId(3)], tree.clone());
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+        assert_eq!(cache.lookup(NodeId(0), &[NodeId(3)]), Some(tree));
     }
 
     #[test]
@@ -417,8 +390,9 @@ mod tests {
     fn zero_capacity_caches_nothing() {
         let g = diamond();
         let cache = SteinerCache::bounded(0);
-        let t =
-            cache.get_or_insert_with(NodeId(0), &[NodeId(3)], || kmb(&g, &[NodeId(0), NodeId(3)]));
+        let t = cached(&cache, NodeId(0), &[NodeId(3)], || {
+            kmb(&g, &[NodeId(0), NodeId(3)])
+        });
         assert!(t.is_some(), "build result still returned");
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 0);
@@ -442,54 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_invalidate_resets_the_ring() {
-        let g = diamond();
-        let cache = SteinerCache::bounded(2);
-        let build = |a: usize, b: usize| kmb(&g, &[NodeId(a), NodeId(b)]);
-        cache.store(NodeId(0), &[NodeId(1)], build(0, 1));
-        cache.store(NodeId(0), &[NodeId(2)], build(0, 2));
-        cache.store(NodeId(0), &[NodeId(3)], build(0, 3));
-        cache.invalidate();
-        assert!(cache.is_empty());
-        // Refilling after a flush must work without phantom ring slots.
-        cache.store(NodeId(0), &[NodeId(1)], build(0, 1));
-        cache.store(NodeId(0), &[NodeId(2)], build(0, 2));
-        cache.store(NodeId(0), &[NodeId(3)], build(0, 3));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn epoch_observation_implies_the_flush_is_visible() {
-        // Loom-style interleaving probe for the Release/Acquire pairing on
-        // the epoch counter: an entry is stored *before* a concurrent
-        // invalidate, and nothing ever re-stores it. Any reader that
-        // samples the epoch first and sees the bump must then miss on
-        // lookup — observing the new epoch while still hitting a
-        // pre-flush entry is exactly the stale pairing the ordering
-        // forbids. Repeated spawns probe many interleavings; with the
-        // orderings reverted to `Relaxed` this assertion is the one a
-        // weakly-ordered machine may violate.
-        for _ in 0..300 {
-            let cache = SteinerCache::new();
-            cache.store(NodeId(0), &[NodeId(1)], None);
-            std::thread::scope(|s| {
-                s.spawn(|| cache.invalidate());
-                s.spawn(|| loop {
-                    let epoch = cache.epoch(); // Acquire, before the probe
-                    let hit = cache.lookup(NodeId(0), &[NodeId(1)]);
-                    if epoch >= 1 {
-                        assert!(
-                            hit.is_none(),
-                            "epoch {epoch} observed but a pre-flush entry survived"
-                        );
-                        break;
-                    }
-                });
-            });
-        }
-    }
-
-    #[test]
     fn shared_across_threads() {
         let g = diamond();
         let cache = SteinerCache::new();
@@ -497,11 +423,10 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10 {
-                        let t = cache
-                            .get_or_insert_with(NodeId(0), &[NodeId(3)], || {
-                                kmb(&g, &[NodeId(0), NodeId(3)])
-                            })
-                            .unwrap();
+                        let t = cached(&cache, NodeId(0), &[NodeId(3)], || {
+                            kmb(&g, &[NodeId(0), NodeId(3)])
+                        })
+                        .unwrap();
                         assert!((t.cost - 2.0).abs() < 1e-12);
                     }
                 });
@@ -509,5 +434,7 @@ mod tests {
         });
         assert_eq!(cache.hits() + cache.misses(), 40);
         assert_eq!(cache.len(), 1);
+        // However the threads raced, one lookup counts as the miss.
+        assert_eq!(cache.misses(), 1);
     }
 }

@@ -17,7 +17,7 @@
 //!    uses since the snapshot (per-node and per-edge version vectors).
 //!    Residual capacity is re-checked by [`Network::apply_delta`] against
 //!    the authoritative network in the same critical section.
-//! 3. **Confirm.** [`CapacityLedger::confirm`] bumps the sequence number
+//! 3. **Confirm.** [`CapacityLedger::confirm_with_task`] bumps the sequence number
 //!    and the versions of the nodes that gained an instance and the edges
 //!    that were charged, applies the delta to the ledger's own copy of the
 //!    network, and appends the *effective* delta to the commit log.
@@ -283,16 +283,11 @@ impl CapacityLedger {
 
     /// Step 3 of a commit: records `delta` as the next transaction after
     /// the network apply succeeded (same write-lock critical section) and
-    /// applies it to the ledger's copy. When the delta carries a wire id,
-    /// the session it opens is registered for later release. Returns the
-    /// assigned sequence number.
-    pub fn confirm(&self, id: Option<u64>, delta: &CommitDelta) -> u64 {
-        self.confirm_with_task(id, delta, None)
-    }
-
-    /// [`CapacityLedger::confirm`], additionally remembering the task the
-    /// session embeds so [`CapacityLedger::live_session_tasks`] can offer
-    /// it to the defragmentation pass.
+    /// applies it to the ledger's own copy. When the delta carries a wire
+    /// id, the session it opens is registered for later release, with
+    /// `task` when given, so [`CapacityLedger::live_session_tasks`] can
+    /// offer it to the defragmentation pass. Returns the assigned sequence
+    /// number.
     ///
     /// # Panics
     ///
@@ -591,10 +586,10 @@ mod tests {
         let a = CommitDelta::new(vec![(VnfId(0), NodeId(1))]);
         let b = CommitDelta::new(vec![(VnfId(1), NodeId(4))]);
         ledger.validate(&snap, &a, false).unwrap();
-        ledger.confirm(Some(1), &a);
+        ledger.confirm_with_task(Some(1), &a, None);
         // b touches a different node: the stale snapshot is still valid.
         ledger.validate(&snap, &b, false).unwrap();
-        ledger.confirm(Some(2), &b);
+        ledger.confirm_with_task(Some(2), &b, None);
         assert_eq!(ledger.commit_count(), 2);
     }
 
@@ -603,7 +598,7 @@ mod tests {
         let ledger = CapacityLedger::new(&ring_network(6, 2.0));
         let snap = ledger.snapshot();
         let winner = CommitDelta::new(vec![(VnfId(0), NodeId(1))]);
-        ledger.confirm(Some(1), &winner);
+        ledger.confirm_with_task(Some(1), &winner, None);
         // Same node, even a different VNF type: the quoted setup cost may
         // be stale, so the loser must re-solve.
         let loser = CommitDelta::new(vec![(VnfId(1), NodeId(1))]);
@@ -636,12 +631,12 @@ mod tests {
         assert_eq!(before, network.total_residual_capacity());
 
         let delta = CommitDelta::new(vec![(VnfId(0), NodeId(1)), (VnfId(1), NodeId(2))]);
-        ledger.confirm(Some(7), &delta);
+        ledger.confirm_with_task(Some(7), &delta, None);
         assert_eq!(ledger.network().total_residual_capacity(), before - 2.0);
 
         // Re-confirming the same pairs is pure reuse: no residual change,
         // and the logged delta is empty.
-        ledger.confirm(Some(8), &delta);
+        ledger.confirm_with_task(Some(8), &delta, None);
         assert_eq!(ledger.network().total_residual_capacity(), before - 2.0);
         let log = ledger.commit_log();
         assert_eq!(log.len(), 2);
@@ -674,11 +669,16 @@ mod tests {
     fn shared_instances_free_only_on_the_last_release() {
         let ledger = CapacityLedger::new(&ring_network(6, 2.0));
         let seed = ledger.network().total_residual_capacity();
-        ledger.confirm(Some(1), &CommitDelta::new(vec![(VnfId(0), NodeId(1))]));
+        ledger.confirm_with_task(
+            Some(1),
+            &CommitDelta::new(vec![(VnfId(0), NodeId(1))]),
+            None,
+        );
         // Session 2 reuses (0,1) and adds its own instance.
-        ledger.confirm(
+        ledger.confirm_with_task(
             Some(2),
             &CommitDelta::new(vec![(VnfId(0), NodeId(1)), (VnfId(1), NodeId(2))]),
+            None,
         );
         assert_eq!(ledger.network().total_residual_capacity(), seed - 2.0);
 
@@ -718,8 +718,16 @@ mod tests {
     #[test]
     fn repeated_session_ids_release_most_recent_first() {
         let ledger = CapacityLedger::new(&ring_network(6, 2.0));
-        ledger.confirm(Some(5), &CommitDelta::new(vec![(VnfId(0), NodeId(1))]));
-        ledger.confirm(Some(5), &CommitDelta::new(vec![(VnfId(1), NodeId(2))]));
+        ledger.confirm_with_task(
+            Some(5),
+            &CommitDelta::new(vec![(VnfId(0), NodeId(1))]),
+            None,
+        );
+        ledger.confirm_with_task(
+            Some(5),
+            &CommitDelta::new(vec![(VnfId(1), NodeId(2))]),
+            None,
+        );
         let usage = ledger.release_usage(5).unwrap();
         assert_eq!(usage.deploys(), &[(VnfId(1), NodeId(2))]);
         ledger.confirm_release(5).unwrap();
@@ -741,7 +749,7 @@ mod tests {
         let ledger = CapacityLedger::new(&ring_network(6, 1.0));
         // One session fills every node with the type the task does not use.
         let fill = CommitDelta::new((0..6).map(|v| (VnfId(2), NodeId(v))).collect());
-        ledger.confirm(Some(42), &fill);
+        ledger.confirm_with_task(Some(42), &fill, None);
         let t = task(0, &[3], &[0, 1]);
         assert!(matches!(
             ledger.check_capacity(&t),
@@ -779,7 +787,7 @@ mod tests {
         let d1 =
             CommitDelta::with_usage(vec![(VnfId(0), NodeId(1))], vec![], vec![(EdgeId(0), 0.1)]);
         ledger.validate(&snap, &d1, false).unwrap();
-        ledger.confirm(Some(1), &d1);
+        ledger.confirm_with_task(Some(1), &d1, None);
         // A later delta over the same edge conflicts against the stale
         // snapshot; a disjoint edge validates fine.
         let d2 = CommitDelta::with_usage(vec![], vec![], vec![(EdgeId(0), 0.2)]);
@@ -790,7 +798,7 @@ mod tests {
         let disjoint = CommitDelta::with_usage(vec![], vec![], vec![(EdgeId(2), 0.2)]);
         ledger.validate(&snap, &disjoint, false).unwrap();
         ledger.validate(&ledger.snapshot(), &d2, false).unwrap();
-        ledger.confirm(Some(2), &d2);
+        ledger.confirm_with_task(Some(2), &d2, None);
         assert_eq!(edge_load(&ledger, 0), (1.0, 0.1 + 0.2));
 
         // Releases give bandwidth back refcount-style.
@@ -822,7 +830,7 @@ mod tests {
         // One session saturates every edge.
         let fill =
             CommitDelta::with_usage(vec![], vec![], (0..4).map(|e| (EdgeId(e), 1.0)).collect());
-        ledger.confirm(Some(9), &fill);
+        ledger.confirm_with_task(Some(9), &fill, None);
         let t = task(0, &[2], &[0, 1]);
         ledger.check_capacity(&t).unwrap();
         let tb = t.clone().with_bandwidth(0.5).unwrap();

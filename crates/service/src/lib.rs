@@ -12,15 +12,18 @@
 //!   delivery trees built for one task are served from the cache to later
 //!   tasks with the same root and destination set. Trees depend only on
 //!   the graph topology and edge weights — never on capacities or
-//!   deployments — so committed placements do not invalidate them (see
-//!   [`sft_graph::cache`] for the exact contract and
-//!   [`EmbedService::invalidate_caches`] for the topology-change hook).
+//!   deployments — and the graph never changes under a network, so
+//!   nothing ever invalidates them (see [`sft_graph::cache`]).
 //! * [`protocol`] defines the **one** versioned request/response wire
 //!   format (`v` field, error taxonomy, canonical serialization) spoken
 //!   by every channel — `sft batch` files, stdin `serve`, and the socket
 //!   front-end.
-//! * [`server`] is that socket front-end: TCP or Unix-socket listener,
-//!   bounded worker pool over the shared service, graceful drain.
+//! * [`server`] is the **one** request path: admission, then a quote, a
+//!   commit or a release. The socket front-end (TCP or Unix-socket
+//!   listener, bounded worker pool over the shared service, graceful
+//!   drain) runs it on worker threads; [`ServerHandle::inline`] runs it
+//!   on the caller's thread for stdin `serve`, sequential `sft batch`
+//!   and in-process experiments.
 //! * [`ledger`] makes socket commits transactional: workers solve
 //!   against a versioned snapshot (read lock only), then validate and
 //!   apply their capacity deltas atomically — deadline, conflict and
@@ -32,9 +35,9 @@
 //! * [`admission`] sheds load *before* work is queued: a sound
 //!   VNF-capacity demand bound against remaining committed capacity
 //!   (`insufficient_capacity`, answered from the ledger's network copy
-//!   on the socket path) and queue-depth backpressure (`overloaded`), with
+//!   on every channel) and queue-depth backpressure (`overloaded`), with
 //!   already-expired queued jobs shed so they cannot block live work.
-//! * [`EmbedService::submit_batch`] fans independent tasks across
+//! * [`EmbedService::submit_batch`] fans independent quotes across
 //!   [`sft_graph::parallel::run_partitioned`] with the workspace's
 //!   ordered-merge determinism guarantee: results are bit-identical to
 //!   per-task one-shot solves at every thread count.
@@ -55,5 +58,5 @@ pub use protocol::{
     RequestMode, ResponseBody, WireError, PROTOCOL_VERSION,
 };
 pub use server::{connect, serve, Connection, DefragReport, ServerConfig, ServerHandle};
-pub use service::{BatchMode, EmbedService, ServiceError};
+pub use service::{EmbedService, ServiceError};
 pub use stats::ServiceStats;

@@ -325,6 +325,17 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request with `default` in place of a missing correlation id
+    /// (an `id` it carries wins).
+    pub fn with_default_id(mut self, default: Option<u64>) -> Self {
+        let id = match &mut self {
+            Request::Embed(req) => &mut req.id,
+            Request::Release { id, .. } | Request::Shutdown { id, .. } => id,
+        };
+        *id = id.or(default);
+        self
+    }
+
     /// Canonical one-line JSON serialization.
     pub fn to_json(&self) -> String {
         match self {

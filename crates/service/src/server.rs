@@ -1,4 +1,12 @@
-//! TCP / Unix-socket front-end for the [`EmbedService`].
+//! The one request path of the [`EmbedService`], and its TCP /
+//! Unix-socket front-end.
+//!
+//! Every channel answers through the functions below: admission (a
+//! draining server, an invalid task, the capacity bounds), then a quote,
+//! a commit or a release. A socket server runs them on its reader and
+//! worker threads; [`ServerHandle::inline`] runs them on the caller's
+//! thread, for stdin `sft serve`, sequential `sft batch` and in-process
+//! experiments, with lines framed exactly as on a connection.
 //!
 //! One listener thread accepts connections; each connection gets a reader
 //! thread that parses protocol lines, runs admission control
@@ -119,13 +127,13 @@ pub struct DefragReport {
     pub instances_after: usize,
 }
 
-/// One admitted request, queued for the worker pool.
+/// One admitted request, for the worker pool (or, on a server with no
+/// listener, for the caller's thread).
 struct Job {
     id: Option<u64>,
     kind: JobKind,
     deadline_ms: Option<u64>,
     deadline: Option<Instant>,
-    reply: Reply,
 }
 
 /// What an admitted job asks the worker pool to do.
@@ -142,6 +150,9 @@ enum JobKind {
 /// A connection's write half, shared by its reader thread and the workers.
 type Reply = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// A queued job and the connection its answer goes to.
+type Queued = (Job, Reply);
+
 /// State shared by the listener, readers and workers.
 struct Shared {
     service: RwLock<EmbedService>,
@@ -149,7 +160,7 @@ struct Shared {
     /// network copy also answers admission so readers need no service
     /// lock.
     ledger: CapacityLedger,
-    queue: JobQueue<Job>,
+    queue: JobQueue<Queued>,
     draining: AtomicBool,
     /// The drain token: every in-flight solve runs under a child of this
     /// token (with the job's own deadline), so initiating a drain
@@ -166,6 +177,20 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(service: EmbedService, config: ServerConfig) -> Self {
+        Shared {
+            ledger: CapacityLedger::new(service.network()),
+            service: RwLock::new(service),
+            queue: JobQueue::new(config.admission.queue_bound),
+            draining: AtomicBool::new(false),
+            drain: CancelToken::new(),
+            config,
+            shed_jobs: AtomicU64::new(0),
+            conflicts: AtomicU64::new(0),
+            bandwidth_rejections: AtomicU64::new(0),
+        }
+    }
+
     /// Stops accepting work; already-admitted jobs still drain, but any
     /// solve in flight is cancelled at its next poll point.
     fn initiate_drain(&self) {
@@ -271,8 +296,76 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
+    /// A server with no listener that spawns no thread: requests reach it
+    /// only through [`ServerHandle::answer`] and
+    /// [`ServerHandle::answer_lines`], each answered on the caller's
+    /// thread before the call returns, as a socket client with one request
+    /// in flight would be answered. `config.workers` and
+    /// `config.defrag_every` are unused (call [`ServerHandle::defrag`]
+    /// instead), and the queue bound never binds, since nothing queues.
+    pub fn inline(service: EmbedService, config: ServerConfig) -> ServerHandle {
+        ServerHandle {
+            shared: Arc::new(Shared::new(service, config)),
+            local_addr: None,
+            listener_thread: None,
+            workers: Vec::new(),
+        }
+    }
+
+    /// Answers one request on the caller's thread: the socket's admission
+    /// checks, then what a worker does with the admitted job (shed it if
+    /// its deadline has passed, else quote, commit or release). A shutdown
+    /// request starts the drain; later requests answer `shutting_down`.
+    pub fn answer(&self, request: Request) -> EmbedResponse {
+        match admit(request, &self.shared) {
+            Ok(job) => work(&job, &self.shared),
+            Err(answer) => answer,
+        }
+    }
+
+    /// Answers a JSONL request stream line by line with
+    /// [`ServerHandle::answer`], writing (and flushing) each answer before
+    /// the next line is read. Lines are framed as on a socket connection:
+    /// blank and `#` lines are skipped, a line that is not UTF-8 is
+    /// answered `parse_error` and the next one served, and a line over
+    /// [`MAX_LINE_BYTES`] is answered `parse_error` and ends the stream
+    /// unread. Unlike a socket, a last line with no newline is answered. A
+    /// request without an `id` takes its 1-based line number, and a
+    /// shutdown line ends the stream after its `draining` answer.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading `reader` or writing `writer`.
+    pub fn answer_lines(&self, reader: impl Read, writer: &mut impl Write) -> io::Result<()> {
+        let mut reader = BufReader::new(reader);
+        let mut buf = Vec::new();
+        let mut lineno = 0;
+        while let Some(frame) = read_frame(&mut reader, &mut buf, true)? {
+            lineno += 1;
+            let line_id = Some(lineno);
+            let (response, last) = match frame {
+                Frame::Skip => continue,
+                Frame::Refuse(error) => (EmbedResponse::wire_failure(line_id, error), false),
+                Frame::TooLong(error) => (EmbedResponse::wire_failure(line_id, error), true),
+                Frame::Request(line) => match crate::protocol::parse_request(line) {
+                    Err(e) => (EmbedResponse::wire_failure(line_id, e), false),
+                    Ok(request) => {
+                        let last = matches!(request, Request::Shutdown { .. });
+                        (self.answer(request.with_default_id(line_id)), last)
+                    }
+                },
+            };
+            writeln!(writer, "{}", response.to_json())?;
+            writer.flush()?;
+            if last {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     /// The bound TCP address (useful with `127.0.0.1:0`); `None` for Unix
-    /// sockets.
+    /// sockets and for [`ServerHandle::inline`].
     pub fn local_addr(&self) -> Option<SocketAddr> {
         self.local_addr
     }
@@ -408,17 +501,7 @@ fn defrag_pass(shared: &Shared) -> DefragReport {
 pub fn serve(service: EmbedService, addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
     let acceptor = Acceptor::bind(addr)?;
     let local_addr = acceptor.local_addr();
-    let shared = Arc::new(Shared {
-        ledger: CapacityLedger::new(service.network()),
-        service: RwLock::new(service),
-        queue: JobQueue::new(config.admission.queue_bound),
-        draining: AtomicBool::new(false),
-        drain: CancelToken::new(),
-        config,
-        shed_jobs: AtomicU64::new(0),
-        conflicts: AtomicU64::new(0),
-        bandwidth_rejections: AtomicU64::new(0),
-    });
+    let shared = Arc::new(Shared::new(service, config));
 
     let mut workers = Vec::with_capacity(config.workers.max(1));
     for _ in 0..config.workers.max(1) {
@@ -467,99 +550,115 @@ fn accept_loop(acceptor: &Acceptor, shared: &Arc<Shared>) {
     }
 }
 
+/// How one line of a request stream reads — see [`read_frame`].
+enum Frame<'a> {
+    /// A request line, trimmed.
+    Request(&'a str),
+    /// A blank or `#` comment line: nothing to answer.
+    Skip,
+    /// A line that is not UTF-8: answer `parse_error`, then read on.
+    Refuse(WireError),
+    /// A line over [`MAX_LINE_BYTES`]: answer `parse_error` and read no
+    /// further, so a client that never sends a newline cannot grow memory.
+    TooLong(WireError),
+}
+
+/// Reads the next line of a request stream into `buf` (reused from line
+/// to line, so a warm connection reads without allocating). Every channel
+/// frames its input here. `Ok(None)` is the end of the stream. Bytes after
+/// the last newline are a line only when `keep_tail` is set: a socket
+/// drops them, so a commit cut off mid-line never lands.
+fn read_frame<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+    keep_tail: bool,
+) -> io::Result<Option<Frame<'a>>> {
+    buf.clear();
+    // One byte past the cap tells an over-long line from a full one.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        let error = WireError::parse(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+        return Ok(Some(Frame::TooLong(error)));
+    } else if !keep_tail {
+        return Ok(None);
+    }
+    let Ok(line) = std::str::from_utf8(buf) else {
+        return Ok(Some(Frame::Refuse(WireError::parse(
+            "request line is not valid UTF-8",
+        ))));
+    };
+    let line = line.trim();
+    Ok(Some(if line.is_empty() || line.starts_with('#') {
+        Frame::Skip
+    } else {
+        Frame::Request(line)
+    }))
+}
+
 /// Parses lines off one connection, admits or rejects each request, and
-/// answers everything that never reaches the worker pool.
-///
-/// A request is a line ended by `\n`. A line longer than
-/// [`MAX_LINE_BYTES`] is answered `parse_error` and the connection is
-/// closed; a line that is not UTF-8 is answered `parse_error` and the
-/// next line is served; bytes after the last newline when the client
-/// closes are dropped unexecuted, so a commit cut off mid-line never
-/// lands.
+/// answers everything that never reaches the worker pool. Lines are framed
+/// by [`read_frame`]: an over-long line closes the connection, and an
+/// unterminated tail at EOF is dropped unexecuted.
 fn connection_loop(reader: Box<dyn Read + Send>, reply: Reply, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(reader);
     let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // One byte past the cap tells an over-long line from a full one.
-        let limit = MAX_LINE_BYTES as u64 + 1;
-        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if buf.last() != Some(&b'\n') {
-            // An over-long line, or an unterminated tail at EOF: neither
-            // is executed.
-            if buf.len() > MAX_LINE_BYTES {
-                let error =
-                    WireError::parse(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    // A read error ends the connection like EOF does.
+    while let Ok(Some(frame)) = read_frame(&mut reader, &mut buf, false) {
+        let response = match frame {
+            Frame::Skip => continue,
+            Frame::Refuse(error) => EmbedResponse::wire_failure(None, error),
+            Frame::TooLong(error) => {
                 send(&reply, &EmbedResponse::wire_failure(None, error));
-            }
-            return;
-        }
-        buf.pop();
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            let error = WireError::parse("request line is not valid UTF-8");
-            if !send(&reply, &EmbedResponse::wire_failure(None, error)) {
                 return;
             }
-            continue;
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let request = match crate::protocol::parse_request(trimmed) {
-            Ok(r) => r,
-            Err(e) => {
-                if !send(&reply, &EmbedResponse::wire_failure(None, e)) {
-                    return;
-                }
-                continue;
-            }
-        };
-        match request {
-            Request::Shutdown { id, .. } => {
-                shared.initiate_drain();
-                if !send(&reply, &EmbedResponse::draining(id)) {
-                    return;
-                }
-            }
-            Request::Embed(req) => {
-                let id = req.id;
-                match admit(&req, shared, &reply) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        if !send(&reply, &EmbedResponse::failure(id, &e)) {
-                            return;
-                        }
-                    }
-                }
-            }
-            Request::Release {
-                id,
-                session,
-                deadline_ms,
-                ..
-            } => match admit_release(id, session, deadline_ms, shared, &reply) {
-                Ok(()) => {}
-                Err(e) => {
-                    if !send(&reply, &EmbedResponse::failure(id, &e)) {
-                        return;
-                    }
-                }
+            Frame::Request(line) => match crate::protocol::parse_request(line) {
+                Err(e) => EmbedResponse::wire_failure(None, e),
+                Ok(request) => match admit(request, shared) {
+                    Ok(job) => match enqueue(job, &reply, shared) {
+                        Ok(()) => continue,
+                        Err(refusal) => refusal,
+                    },
+                    Err(answer) => answer,
+                },
             },
+        };
+        if !send(&reply, &response) {
+            return;
         }
     }
 }
 
-/// Runs the admission pipeline for one embed request; on success the job
-/// is queued and the worker pool owns the response.
-fn admit(
-    req: &crate::protocol::EmbedRequest,
-    shared: &Arc<Shared>,
-    reply: &Reply,
-) -> Result<(), ServiceError> {
+/// Admission for one parsed request, on the thread that read it. `Ok` is
+/// a job for the worker pool. `Err` is the answer given without one: a
+/// refusal, or the `draining` acknowledgement of a shutdown request, which
+/// starts the drain.
+fn admit(request: Request, shared: &Shared) -> Result<Job, EmbedResponse> {
+    match request {
+        Request::Shutdown { id, .. } => {
+            shared.initiate_drain();
+            Err(EmbedResponse::draining(id))
+        }
+        Request::Embed(req) => {
+            admit_embed(&req, shared).map_err(|e| EmbedResponse::failure(req.id, &e))
+        }
+        Request::Release {
+            id,
+            session,
+            deadline_ms,
+            ..
+        } => admit_release(id, session, deadline_ms, shared)
+            .map_err(|e| EmbedResponse::failure(id, &e)),
+    }
+}
+
+/// The admission checks of one embed request: a draining server, an
+/// invalid task, and (when configured) the capacity bounds.
+fn admit_embed(req: &crate::protocol::EmbedRequest, shared: &Shared) -> Result<Job, ServiceError> {
     if shared.is_draining() {
         return Err(ServiceError::ShuttingDown);
     }
@@ -574,20 +673,13 @@ fn admit(
             return Err(e);
         }
     }
-    let deadline_ms = req
-        .deadline_ms
-        .or(shared.config.admission.default_deadline_ms);
-    let job = Job {
-        id: req.id,
-        kind: JobKind::Embed {
-            task,
-            mode: req.mode.unwrap_or(shared.config.default_mode),
-        },
-        deadline_ms,
-        deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        reply: Arc::clone(reply),
-    };
-    enqueue(job, shared)
+    let mode = req.mode.unwrap_or(shared.config.default_mode);
+    Ok(job(
+        req.id,
+        JobKind::Embed { task, mode },
+        req.deadline_ms,
+        shared,
+    ))
 }
 
 /// Admits one release request. The session is *not* resolved here — the
@@ -600,40 +692,46 @@ fn admit_release(
     id: Option<u64>,
     session: u64,
     deadline_ms: Option<u64>,
-    shared: &Arc<Shared>,
-    reply: &Reply,
-) -> Result<(), ServiceError> {
+    shared: &Shared,
+) -> Result<Job, ServiceError> {
     if shared.is_draining() {
         return Err(ServiceError::ShuttingDown);
     }
-    let credited = shared.ledger.note_queued_release(session);
-    let deadline_ms = deadline_ms.or(shared.config.admission.default_deadline_ms);
-    let job = Job {
-        id,
-        kind: JobKind::Release { session },
-        deadline_ms,
-        deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        reply: Arc::clone(reply),
-    };
-    enqueue(job, shared).inspect_err(|_| {
-        if credited {
-            shared.ledger.clear_queued_release(session);
-        }
-    })
+    shared.ledger.note_queued_release(session);
+    Ok(job(id, JobKind::Release { session }, deadline_ms, shared))
 }
 
-/// Pushes an admitted job, shedding a dead backlog once if the queue is
-/// full of already-expired jobs.
-fn enqueue(job: Job, shared: &Arc<Shared>) -> Result<(), ServiceError> {
-    match shared.queue.try_push(job) {
-        Ok(()) => Ok(()),
+/// An admitted job, its deadline counted from now (the request's own
+/// `deadline_ms`, else the configured default).
+fn job(id: Option<u64>, kind: JobKind, deadline_ms: Option<u64>, shared: &Shared) -> Job {
+    let deadline_ms = deadline_ms.or(shared.config.admission.default_deadline_ms);
+    Job {
+        id,
+        kind,
+        deadline_ms,
+        deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+    }
+}
+
+/// Queues an admitted job for the worker pool, shedding a dead backlog
+/// once if the queue is full of already-expired jobs. `Err` is the refusal
+/// to send instead; a refused release withdraws its admission credit.
+fn enqueue(job: Job, reply: &Reply, shared: &Shared) -> Result<(), EmbedResponse> {
+    let refused = match shared.queue.try_push((job, Arc::clone(reply))) {
+        Ok(()) => return Ok(()),
         // A full queue may be full of already-dead jobs: shed them (each
         // still gets its deadline_exceeded response) and retry once.
-        Err((job, ServiceError::Overloaded { .. })) if shed_expired_jobs(shared) > 0 => {
-            shared.queue.try_push(job).map_err(|(_, e)| e)
+        Err((queued, ServiceError::Overloaded { .. })) if shed_expired_jobs(shared) > 0 => {
+            match shared.queue.try_push(queued) {
+                Ok(()) => return Ok(()),
+                Err(refused) => refused,
+            }
         }
-        Err((_, e)) => Err(e),
-    }
+        Err(refused) => refused,
+    };
+    let ((job, _), e) = refused;
+    drop_credit(&job, shared);
+    Err(EmbedResponse::failure(job.id, &e))
 }
 
 /// Whether a job's deadline has passed.
@@ -661,13 +759,13 @@ fn drop_credit(job: &Job, shared: &Shared) {
 /// Removes already-expired jobs from the queue, answers their clients,
 /// and counts them in the server stats. Returns how many were shed.
 fn shed_expired_jobs(shared: &Shared) -> usize {
-    let dead = shared.queue.shed(job_expired);
+    let dead = shared.queue.shed(|(job, _)| job_expired(job));
     shared
         .shed_jobs
         .fetch_add(dead.len() as u64, Ordering::Relaxed);
-    for job in &dead {
+    for (job, reply) in &dead {
         drop_credit(job, shared);
-        send(&job.reply, &expired_response(job));
+        send(reply, &expired_response(job));
     }
     dead.len()
 }
@@ -686,19 +784,23 @@ fn maintenance_loop(shared: &Arc<Shared>, period: Duration) {
 }
 
 /// Pops admitted jobs until the queue is closed **and** drained, so a
-/// graceful shutdown completes all in-flight work. Jobs that expired
-/// while queued are shed here — answered, counted, never run.
+/// graceful shutdown completes all in-flight work.
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        if job_expired(&job) {
-            shared.shed_jobs.fetch_add(1, Ordering::Relaxed);
-            drop_credit(&job, shared);
-            send(&job.reply, &expired_response(&job));
-            continue;
-        }
-        let response = run_job(&job, shared);
-        send(&job.reply, &response);
+    while let Some((job, reply)) = shared.queue.pop() {
+        send(&reply, &work(&job, shared));
     }
+}
+
+/// What a worker does with one admitted job: a job whose deadline expired
+/// while it waited is shed — answered, counted, never run — and any other
+/// job runs.
+fn work(job: &Job, shared: &Shared) -> EmbedResponse {
+    if job_expired(job) {
+        shared.shed_jobs.fetch_add(1, Ordering::Relaxed);
+        drop_credit(job, shared);
+        return expired_response(job);
+    }
+    run_job(job, shared)
 }
 
 /// Solves one admitted job under a child of the drain token carrying the
@@ -707,7 +809,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// under the read lock — a cancelled quote has mutated nothing. Commits
 /// go through the transactional path, where the deadline is re-checked
 /// *before* any mutation.
-fn run_job(job: &Job, shared: &Arc<Shared>) -> EmbedResponse {
+fn run_job(job: &Job, shared: &Shared) -> EmbedResponse {
     match &job.kind {
         JobKind::Embed {
             task,
@@ -744,7 +846,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) -> EmbedResponse {
 /// needed: look the session up, apply the inverse delta all-or-nothing,
 /// confirm into the ledger. The deadline is re-checked before any
 /// mutation, exactly like the commit path.
-fn release_job(job: &Job, session: u64, shared: &Arc<Shared>) -> EmbedResponse {
+fn release_job(job: &Job, session: u64, shared: &Shared) -> EmbedResponse {
     let mut service = shared.write_service();
     if job_expired(job) {
         drop(service);
@@ -793,7 +895,7 @@ fn release_job(job: &Job, session: u64, shared: &Arc<Shared>) -> EmbedResponse {
 /// feasibility, delay or deadline. The response and the network always
 /// agree — a refusal has mutated **nothing**, and a success response
 /// reports exactly what was committed.
-fn commit_job(job: &Job, task: &MulticastTask, shared: &Arc<Shared>) -> EmbedResponse {
+fn commit_job(job: &Job, task: &MulticastTask, shared: &Shared) -> EmbedResponse {
     let retries = shared.config.commit_retries.max(1);
     for _ in 0..retries {
         // Snapshot + solve under the read half, concurrently with quotes
@@ -1112,18 +1214,7 @@ mod tests {
     }
 
     fn shared_with(network: Network, config: ServerConfig) -> Arc<Shared> {
-        let service = EmbedService::with_defaults(network);
-        Arc::new(Shared {
-            ledger: CapacityLedger::new(service.network()),
-            service: RwLock::new(service),
-            queue: JobQueue::new(config.admission.queue_bound),
-            draining: AtomicBool::new(false),
-            drain: CancelToken::new(),
-            config,
-            shed_jobs: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            bandwidth_rejections: AtomicU64::new(0),
-        })
+        Arc::new(Shared::new(EmbedService::with_defaults(network), config))
     }
 
     fn embed_job(id: u64, source: usize, mode: RequestMode, deadline: Option<Instant>) -> Job {
@@ -1137,7 +1228,6 @@ mod tests {
             },
             deadline_ms: deadline.map(|_| 5),
             deadline,
-            reply: Arc::new(Mutex::new(Box::new(io::sink()))),
         }
     }
 
@@ -1151,7 +1241,6 @@ mod tests {
             kind: JobKind::Release { session },
             deadline_ms: None,
             deadline: None,
-            reply: Arc::new(Mutex::new(Box::new(io::sink()))),
         }
     }
 
@@ -1364,10 +1453,12 @@ mod tests {
         // Fill the queue with jobs whose deadline is already gone. No
         // worker threads are running, so they sit there dead.
         let long_gone = Instant::now() - Duration::from_millis(50);
+        let reply: Reply = Arc::new(Mutex::new(Box::new(io::sink())));
         for id in 0..2 {
+            let job = commit_job_with_deadline(id, 0, Some(long_gone));
             shared
                 .queue
-                .try_push(commit_job_with_deadline(id, 0, Some(long_gone)))
+                .try_push((job, Arc::clone(&reply)))
                 .unwrap_or_else(|_| panic!("queue has room"));
         }
 
@@ -1375,11 +1466,14 @@ mod tests {
         // dead jobs and be admitted instead of bouncing as overloaded.
         let mut req = EmbedRequest::new(4, vec![7], vec![0, 1]);
         req.id = Some(9);
-        let reply: Reply = Arc::new(Mutex::new(Box::new(io::sink())));
-        admit(&req, &shared, &reply).expect("live job must be admitted");
+        let job = admit(Request::Embed(req), &shared).expect("live job passes admission");
+        assert!(
+            enqueue(job, &reply, &shared).is_ok(),
+            "live job must be admitted"
+        );
         assert_eq!(shared.shed_jobs.load(Ordering::Relaxed), 2);
         assert_eq!(shared.queue.len(), 1, "only the live job remains");
-        let survivor = shared.queue.pop().unwrap();
+        let (survivor, _) = shared.queue.pop().unwrap();
         assert_eq!(survivor.id, Some(9));
     }
 

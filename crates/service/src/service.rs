@@ -160,22 +160,6 @@ impl From<CoreError> for ServiceError {
     }
 }
 
-/// How [`EmbedService::submit_batch`] treats the tasks of one batch.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Tasks arrive in order and accrete state: each successful embedding
-    /// is committed before the next task solves, so later tasks reuse the
-    /// instances earlier ones placed (the paper's §IV-D online regime).
-    /// Equivalent to calling [`EmbedService::solve_and_commit`] per task.
-    #[default]
-    Sequential,
-    /// Tasks are independent snapshots of the current network: the batch
-    /// fans across worker threads, nothing is committed, and every result
-    /// is bit-identical to a one-shot [`sft_core::solve`] against the
-    /// same frozen network — at every thread count.
-    Independent,
-}
-
 /// How many latency samples the service retains for percentile stats.
 /// A week-long churn run records millions of solves; the ring keeps the
 /// most recent window in O(1) memory instead of every nano forever.
@@ -313,13 +297,6 @@ impl EmbedService {
         &self.cache
     }
 
-    /// Flushes the Steiner cache. Call this if the underlying *graph*
-    /// (topology or edge weights) changes; committing embeddings does not
-    /// require it — deployments and capacities are not cache inputs.
-    pub fn invalidate_caches(&self) {
-        self.cache.invalidate();
-    }
-
     /// Solves one task against the current network **without** committing
     /// its instances (a dry-run / quote). Takes `&self`, so concurrent
     /// quotes can run side by side under a shared lock.
@@ -351,22 +328,6 @@ impl EmbedService {
         let (result, ns) = self.timed_solve(task, cancel);
         self.note(&result, ns);
         result.map_err(ServiceError::Core)
-    }
-
-    /// Solves one task and commits its new instances, so later tasks reuse
-    /// them at zero setup cost (sequential-arrival semantics, §IV-D).
-    ///
-    /// # Errors
-    ///
-    /// Solver errors for this task; the network is only mutated on
-    /// success.
-    pub fn solve_and_commit(&mut self, task: &MulticastTask) -> Result<SolveResult, ServiceError> {
-        let (result, ns) = self.timed_solve(task, None);
-        self.note(&result, ns);
-        let result = result?;
-        self.network.commit_embedding(task, &result.embedding)?;
-        self.lock_counters().commits += 1;
-        Ok(result)
     }
 
     /// Applies a pre-validated commit delta (the second phase of the
@@ -409,30 +370,15 @@ impl EmbedService {
         Ok(freed)
     }
 
-    /// Serves a batch of tasks; see [`BatchMode`] for the two semantics.
-    /// Per-task failures are reported in place — one infeasible or
-    /// malformed task never aborts the rest of the batch. The returned
-    /// vector is index-aligned with `tasks`.
-    pub fn submit_batch(
-        &mut self,
-        tasks: &[MulticastTask],
-        mode: BatchMode,
-    ) -> Vec<Result<SolveResult, ServiceError>> {
-        match mode {
-            BatchMode::Sequential => tasks.iter().map(|t| self.solve_and_commit(t)).collect(),
-            BatchMode::Independent => self.batch_independent(tasks),
-        }
-    }
-
-    /// Fans independent tasks across worker threads against the frozen
-    /// network. Workers solve whole tasks (each internally sequential, so
-    /// thread fan-out happens at exactly one level) over contiguous index
-    /// chunks; chunk results concatenate back in task order, so the output
-    /// is deterministic in the thread count.
-    fn batch_independent(
-        &mut self,
-        tasks: &[MulticastTask],
-    ) -> Vec<Result<SolveResult, ServiceError>> {
+    /// Quotes a batch of independent tasks against the current network:
+    /// nothing is committed, the tasks fan across worker threads, and
+    /// every result is bit-identical to a one-shot [`sft_core::solve`]
+    /// against the same frozen network, at every thread count. Workers
+    /// solve whole tasks (each internally sequential, so thread fan-out
+    /// happens at exactly one level) over contiguous index chunks; chunk
+    /// results concatenate back in task order. Per-task failures are
+    /// reported in place, index-aligned with `tasks`.
+    pub fn submit_batch(&self, tasks: &[MulticastTask]) -> Vec<Result<SolveResult, ServiceError>> {
         let network = &self.network;
         let options = SolveOptions {
             cache: Some(&self.cache),
@@ -542,7 +488,8 @@ impl EmbedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sft_core::{SequentialEmbedder, Sfc, VnfCatalog, VnfId};
+    use crate::protocol::EmbedResponse;
+    use sft_core::{Sfc, VnfCatalog, VnfId};
     use sft_graph::{Graph, NodeId, Parallelism};
 
     fn ring_network(n: usize, capacity: f64) -> Network {
@@ -581,10 +528,9 @@ mod tests {
     #[test]
     fn independent_batch_matches_oneshot_solves() {
         let net = ring_network(10, 3.0);
-        // Each task is followed by its duplicate, and the first chunk holds
-        // at least two tasks at every thread count below, so one worker
-        // solves a task and then its duplicate. (A duplicate in another
-        // chunk may run alongside its original, and then both miss.)
+        // Each task is followed by its duplicate. Whether the two run one
+        // after the other or side by side on two workers, the second
+        // lookup or store of each key books a hit.
         let tasks: Vec<MulticastTask> = [
             task(0, &[3, 6], &[0, 1]),
             task(2, &[5, 9], &[1, 2]),
@@ -594,7 +540,7 @@ mod tests {
         .flat_map(|t| [t.clone(), t])
         .collect();
         for threads in [1usize, 2, 4] {
-            let mut svc = EmbedService::new(
+            let svc = EmbedService::new(
                 ring_network(10, 3.0),
                 Strategy::Msa,
                 SolveOptions {
@@ -603,7 +549,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let batch = svc.submit_batch(&tasks, BatchMode::Independent);
+            let batch = svc.submit_batch(&tasks);
             for (t, r) in tasks.iter().zip(&batch) {
                 let one = solve(&net, t, &SolveOptions::default()).unwrap();
                 let r = r.as_ref().unwrap();
@@ -619,37 +565,46 @@ mod tests {
         }
     }
 
+    /// `sft batch`'s sequential path, the in-process server, against a
+    /// plain sequential embedder: `solve`, then `commit_embedding`, task
+    /// after task on one network.
     #[test]
     fn sequential_batch_matches_sequential_embedder() {
-        let tasks = vec![
-            task(0, &[3, 6], &[0, 1]),
-            task(2, &[5, 9], &[1, 2]),
-            task(0, &[3, 6], &[0, 1]),
+        use crate::protocol::{EmbedRequest, Request, RequestMode};
+        use crate::server::{ServerConfig, ServerHandle};
+        let tasks = [
+            (0, [3, 6], [0, 1]),
+            (2, [5, 9], [1, 2]),
+            (0, [3, 6], [0, 1]),
         ];
-        let mut svc = EmbedService::new(
-            ring_network(10, 3.0),
-            Strategy::Msa,
-            SolveOptions::default(),
-        )
-        .unwrap();
-        let batch = svc.submit_batch(&tasks, BatchMode::Sequential);
-
-        // Reference: the existing SequentialEmbedder (solve + commit).
-        let mut reference = SequentialEmbedder::new(ring_network(10, 3.0), Strategy::Msa);
-        for (t, r) in tasks.iter().zip(&batch) {
-            let want = reference.embed(t).unwrap();
-            let got = r.as_ref().unwrap();
-            assert_eq!(want.embedding, got.embedding);
-            assert_eq!(want.cost.setup, got.cost.setup);
-            assert_eq!(want.cost.link, got.cost.link);
+        let handle = ServerHandle::inline(
+            EmbedService::with_defaults(ring_network(10, 3.0)),
+            ServerConfig::default(),
+        );
+        let mut reference = ring_network(10, 3.0);
+        for (id, (source, dests, sfc)) in (1..).zip(tasks) {
+            let mut req = EmbedRequest::new(source, dests.to_vec(), sfc.to_vec());
+            req.id = Some(id);
+            req.mode = Some(RequestMode::Commit);
+            let got = handle.answer(Request::Embed(req));
+            let t = task(source, &dests, &sfc);
+            let want = solve(&reference, &t, &SolveOptions::default()).unwrap();
+            reference.commit_embedding(&t, &want.embedding).unwrap();
+            assert_eq!(got, EmbedResponse::success(Some(id), &want, true));
+            if id == 3 {
+                // The repeated task pays no setup the second time around.
+                assert_eq!(want.cost.setup, 0.0);
+            }
         }
-        // The repeated task pays no setup the second time around.
-        assert_eq!(batch[2].as_ref().unwrap().cost.setup, 0.0);
-        assert_eq!(svc.stats().commits, 3);
+        assert_eq!(handle.stats().commits, 3);
+        assert_eq!(
+            handle.network().deployment_refcounts(),
+            reference.deployment_refcounts()
+        );
     }
 
     #[test]
-    fn apply_commit_matches_solve_and_commit() {
+    fn apply_commit_matches_commit_embedding() {
         let t = task(0, &[3, 5], &[0, 1]);
         let mut two_phase = EmbedService::with_defaults(ring_network(8, 3.0));
         let quoted = two_phase.solve_uncommitted(&t).unwrap();
@@ -657,11 +612,12 @@ mod tests {
         two_phase.apply_commit(&delta).unwrap();
         assert_eq!(two_phase.stats().commits, 1);
 
-        let mut one_phase = EmbedService::with_defaults(ring_network(8, 3.0));
-        one_phase.solve_and_commit(&t).unwrap();
+        let mut one_phase = ring_network(8, 3.0);
+        let solved = solve(&one_phase, &t, &SolveOptions::default()).unwrap();
+        one_phase.commit_embedding(&t, &solved.embedding).unwrap();
         assert_eq!(
             two_phase.network().deployed_pairs(),
-            one_phase.network().deployed_pairs()
+            one_phase.deployed_pairs()
         );
     }
 
@@ -695,14 +651,14 @@ mod tests {
 
     #[test]
     fn failures_do_not_kill_the_batch() {
-        let mut svc = EmbedService::new(
+        let svc = EmbedService::new(
             ring_network(6, 0.0), // zero capacity: everything infeasible
             Strategy::Msa,
             SolveOptions::default(),
         )
         .unwrap();
         let tasks = vec![task(0, &[2], &[0]), task(1, &[4], &[1])];
-        let out = svc.submit_batch(&tasks, BatchMode::Sequential);
+        let out = svc.submit_batch(&tasks);
         assert!(out.iter().all(Result::is_err));
         let stats = svc.stats();
         assert_eq!(stats.failures, 2);
@@ -725,16 +681,6 @@ mod tests {
             "distinct keys beyond capacity must evict"
         );
         assert!(stats.render().contains("evictions"));
-    }
-
-    #[test]
-    fn invalidate_flushes_the_cache() {
-        let svc = EmbedService::with_defaults(ring_network(8, 3.0));
-        svc.solve_uncommitted(&task(0, &[3, 5], &[0, 1])).unwrap();
-        assert!(!svc.cache().is_empty());
-        svc.invalidate_caches();
-        assert!(svc.cache().is_empty());
-        assert_eq!(svc.cache().epoch(), 1);
     }
 
     #[test]

@@ -205,7 +205,6 @@ mod tests {
             hits: 30,
             misses: 10,
             evictions: 3,
-            epoch: 0,
         };
         let s = ServiceStats::from_latencies(9, 1, 9, cache, &lat);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);

@@ -21,7 +21,8 @@ use sft::core::{
 };
 use sft::graph::{approx_le, generate, EdgeId, Graph, NodeId};
 use sft::lp::{MipConfig, MipStatus};
-use sft::service::{EmbedService, ErrorCode, ServiceError};
+use sft::service::protocol::{EmbedRequest, EmbedResponse, Request, RequestMode, ResponseBody};
+use sft::service::{EmbedService, ErrorCode, ServerConfig, ServerHandle, ServiceError};
 
 /// A connected Waxman instance whose every edge carries a random
 /// latency in `(0.1, 1.1)`, so delay and cost genuinely diverge.
@@ -112,39 +113,38 @@ fn path_network() -> Network {
         .unwrap()
 }
 
-fn path_task(budget: f64) -> MulticastTask {
-    MulticastTask::new(
-        NodeId(0),
-        vec![NodeId(3)],
-        Sfc::new(vec![VnfId(0)]).unwrap(),
-    )
-    .unwrap()
-    .with_delay_budget(budget)
-    .unwrap()
-}
-
 /// The structured-refusal regression: an unreachable budget maps onto the
 /// `delay_infeasible` wire code, counts in the service stats, and leaves
 /// the network, its deployments, and its bandwidth ledger untouched.
 #[test]
 fn infeasible_budget_is_refused_without_a_trace() {
     let seed = path_network();
-    let mut svc = EmbedService::with_defaults(seed.clone());
-    let err = svc
-        .solve_and_commit(&path_task(2.0))
-        .expect_err("three hops cannot fit in two units");
+    let server = ServerHandle::inline(
+        EmbedService::with_defaults(seed.clone()),
+        ServerConfig::default(),
+    );
+    // A one-VNF chain across the whole path under `budget`, committed.
+    let commit = |id: u64, budget: f64| {
+        let mut req = EmbedRequest::new(0, vec![3], vec![0]);
+        req.id = Some(id);
+        req.mode = Some(RequestMode::Commit);
+        req.delay_budget_ms = Some(budget);
+        server.answer(Request::Embed(req))
+    };
+    let refused = commit(1, 2.0);
+    let err = ServiceError::Core(CoreError::DelayInfeasible {
+        destination: 3,
+        achieved: 3.0,
+        budget: 2.0,
+    });
     assert_eq!(err.code(), ErrorCode::DelayInfeasible);
-    match err {
-        ServiceError::Core(CoreError::DelayInfeasible {
-            achieved, budget, ..
-        }) => {
-            assert_eq!(achieved, 3.0);
-            assert_eq!(budget, 2.0);
-        }
-        other => panic!("wrong variant: {other:?}"),
-    }
+    assert_eq!(
+        refused,
+        EmbedResponse::failure(Some(1), &err),
+        "three hops cannot fit in two units"
+    );
     // Nothing committed, nothing counted as served, nothing leaked.
-    let network = svc.network();
+    let network = server.network();
     assert_eq!(network.deployment_refcounts(), seed.deployment_refcounts());
     for v in 0..4 {
         assert_eq!(
@@ -153,7 +153,7 @@ fn infeasible_budget_is_refused_without_a_trace() {
         );
     }
     assert!(network.edge_usage().is_empty());
-    let stats = svc.stats();
+    let stats = server.stats();
     assert_eq!(stats.delay_infeasible, 1);
     assert_eq!(stats.commits, 0);
     assert!(
@@ -163,12 +163,14 @@ fn infeasible_budget_is_refused_without_a_trace() {
     );
 
     // The same task under a reachable budget commits and reports it.
-    let r = svc
-        .solve_and_commit(&path_task(3.5))
-        .expect("three hops fit");
-    let delay = r.max_path_delay.expect("budgeted solves report a delay");
+    let delay = match commit(2, 3.5).body {
+        ResponseBody::Ok { max_path_delay, .. } => {
+            max_path_delay.expect("budgeted solves report a delay")
+        }
+        other => panic!("three hops fit: {other:?}"),
+    };
     assert!(delay <= 3.5 + 1e-9);
-    assert_eq!(svc.stats().commits, 1);
+    assert_eq!(server.stats().commits, 1);
 }
 
 /// The exact ILP and the heuristic must hand down the same feasibility

@@ -4,18 +4,31 @@
 //!
 //! * Independent batches are bit-identical to per-task `solve` calls
 //!   against the same frozen network, at every thread count.
-//! * Sequential batches are bit-identical to the existing
-//!   [`SequentialEmbedder`] solve-and-commit loop.
+//! * Sequential batches — commit requests answered in order by the
+//!   in-process server, as `sft batch` answers them — are bit-identical
+//!   to a sequential embedder: a plain `solve` then `commit_embedding`
+//!   loop over one network.
 //! * Serving the same stream twice reuses the cache (hits grow) without
 //!   changing a single cost component.
 
 use proptest::prelude::*;
 use sft::core::Strategy as Algo;
-use sft::core::{
-    solve, MulticastTask, Network, Parallelism, SequentialEmbedder, SolveOptions, StageTwo,
-};
-use sft::service::{BatchMode, EmbedService};
+use sft::core::{solve, MulticastTask, Network, Parallelism, SolveOptions, StageTwo};
+use sft::service::protocol::{EmbedRequest, EmbedResponse, Request, RequestMode, ResponseBody};
+use sft::service::{EmbedService, ServerConfig, ServerHandle};
 use sft::topology::{palmetto, workload, ScenarioConfig};
+
+/// `task` as a commit request with correlation id `id`.
+fn commit_request(id: u64, task: &MulticastTask) -> Request {
+    let mut req = EmbedRequest::new(
+        task.source().index(),
+        task.destinations().iter().map(|d| d.index()).collect(),
+        task.sfc().stages().iter().map(|f| f.0).collect(),
+    );
+    req.id = Some(id);
+    req.mode = Some(RequestMode::Commit);
+    Request::Embed(req)
+}
 
 /// One reduced-Palmetto network plus several tasks that are all valid on
 /// it. The graph is fixed, so tasks drawn from sibling scenarios (same
@@ -67,8 +80,8 @@ proptest! {
         // Duplicate the stream so the second half is served from cache.
         tasks.extend(tasks.clone());
         let options = SolveOptions { stage_two, parallelism: Parallelism::new(threads), ..SolveOptions::default() };
-        let mut svc = EmbedService::new(network.clone(), Algo::Msa, options).unwrap();
-        let batch = svc.submit_batch(&tasks, BatchMode::Independent);
+        let svc = EmbedService::new(network.clone(), Algo::Msa, options).unwrap();
+        let batch = svc.submit_batch(&tasks);
         prop_assert_eq!(batch.len(), tasks.len());
         for (t, got) in tasks.iter().zip(&batch) {
             let got = got.as_ref().expect("feasible workload");
@@ -99,33 +112,31 @@ proptest! {
         (nodes, config, n_tasks) in arb_config(),
     ) {
         let (network, tasks) = shared_workload(nodes, &config, n_tasks);
-        let mut svc = EmbedService::new(
-            network.clone(),
-            Algo::Msa,
-            SolveOptions::default(),
-        )
-        .unwrap();
-        let batch = svc.submit_batch(&tasks, BatchMode::Sequential);
-
-        let mut reference = SequentialEmbedder::new(network, Algo::Msa);
-        for (t, got) in tasks.iter().zip(&batch) {
-            match got {
-                Ok(got) => {
-                    let want = reference.embed(t).unwrap();
-                    prop_assert_eq!(&want.embedding, &got.embedding);
-                    prop_assert_eq!(want.cost.setup, got.cost.setup);
-                    prop_assert_eq!(want.cost.link, got.cost.link);
+        let server = ServerHandle::inline(
+            EmbedService::new(network.clone(), Algo::Msa, SolveOptions::default()).unwrap(),
+            ServerConfig::default(),
+        );
+        let mut reference = network;
+        let mut committed = 0u64;
+        for (id, t) in (1..).zip(&tasks) {
+            let got = server.answer(commit_request(id, t));
+            let want = solve(&reference, t, &SolveOptions::default()).and_then(|want| {
+                reference.commit_embedding(t, &want.embedding).map(|()| want)
+            });
+            match want {
+                Ok(want) => {
+                    prop_assert_eq!(got, EmbedResponse::success(Some(id), &want, true));
+                    committed += 1;
                 }
-                Err(_) => {
-                    // Capacity can fill up mid-stream; the reference loop
-                    // must fail on exactly the same task.
-                    prop_assert!(reference.embed(t).is_err());
-                }
+                // Capacity can fill up mid-stream; the server must refuse
+                // exactly the task the reference loop fails on.
+                Err(_) => prop_assert!(matches!(got.body, ResponseBody::Error(_)), "{:?}", got),
             }
         }
-        let stats = svc.stats();
-        prop_assert_eq!(stats.tasks_served + stats.failures, tasks.len() as u64);
+        let stats = server.stats();
+        prop_assert_eq!(stats.commits, committed);
         prop_assert_eq!(stats.commits, stats.tasks_served);
+        prop_assert_eq!(server.commit_log().len() as u64, committed);
     }
 }
 
@@ -146,7 +157,7 @@ fn twenty_task_stream_reuses_the_cache_at_every_thread_count() {
     }
     let mut baseline: Option<Vec<(f64, f64)>> = None;
     for threads in [1usize, 2, 8] {
-        let mut svc = EmbedService::new(
+        let svc = EmbedService::new(
             network.clone(),
             Algo::Msa,
             SolveOptions {
@@ -155,7 +166,7 @@ fn twenty_task_stream_reuses_the_cache_at_every_thread_count() {
             },
         )
         .unwrap();
-        let batch = svc.submit_batch(&tasks, BatchMode::Independent);
+        let batch = svc.submit_batch(&tasks);
         let costs: Vec<(f64, f64)> = batch
             .iter()
             .map(|r| {
